@@ -13,41 +13,47 @@ rigorously bounded sub-unit window:
   witness is then impossible.  The consecutive-zero exclusion (two adjacent
   zero witnesses force p = q = 0) guarantees the search terminates.
 
+Searches work on integers at the claim point: the witness at each index
+comes from a scalar recurrence track (``recurrences.*_track``), and each bound
+is a ratio start * ratio**n / n! updated one step at a time and compared with
+1 by integer cross-multiplication.  No polynomial is built; ``IntPoly`` and
+the ``iter_*`` engines serve ``irrcert table``, ``oracle-check`` and the
+identity tests.
+
 Certificates record everything a checker needs: index, sequence, witness,
 bound, and the enclosure transcript.  ``check_certificate`` re-derives every
-number from the claim alone and finally replays the canonical search, so no
-stored field is trusted.  All searches and precision schedules are pure
-functions of the claim; rerunning a refutation is byte-stable.
+number from the claim alone, stepping the same tracks, and finally replays
+the canonical search, so no stored field is trusted.  All searches and
+precision schedules are pure functions of the claim; rerunning a refutation
+is byte-stable.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import gcd
 from typing import Iterator, Optional, Tuple
 
 from .enclosure import (
     EnclosureRequest,
     Func,
-    TailBoundSpec,
-    TailKernel,
     enclose,
     exp_upper_bound,
     factorial_dominance_index,
-    tail_bound,
 )
-from .exactnum import RatInterval, format_rational, parse_rational, sqrt_bounds
+from .exactnum import RatInterval, format_rational, sqrt_bounds
 from .recurrences import (
-    CosSystemState,
-    SequencePair,
-    iter_cos_system,
-    iter_exp_sequence,
-    iter_pi_sequence,
-    iter_tan_sequence,
+    cos_track,
+    exp_track,
+    pi_squared_track,
+    pi_track,
+    tan_ratio_track,
+    tan_track,
 )
 
 # witness integers can run to thousands of digits; lift the int/str guard
@@ -216,23 +222,72 @@ def _sqrt_record(x: Fraction) -> Tuple[Fraction, EnclosureRecord]:
     return iv.hi, EnclosureRecord("sqrt", x, iv.lo, iv.hi)
 
 
+class _Decay:
+    """The bound start * ratio**n / n!, stepped one index at a time.
+
+    It is kept as an unreduced integer pair num/den and compared with 1 by
+    cross-multiplication; a Fraction is built only for a value that leaves
+    the search.  The step factor ratio/n falls with n, so the bound rises
+    while the factor is >= 1 and falls after: its largest value so far is
+    the one at the last step whose factor was >= 1, kept in ``peak``.
+    """
+
+    __slots__ = ("start", "ratio", "num", "den", "n", "peak")
+
+    def __init__(self, start: Fraction, ratio: Fraction):
+        self.start, self.ratio = start, ratio
+        self.num, self.den = start.numerator, start.denominator
+        self.n = 0
+        self.peak = (self.num, self.den)
+
+    def step(self) -> None:
+        self.n += 1
+        self.num *= self.ratio.numerator
+        self.den *= self.ratio.denominator * self.n
+        if self.n * self.ratio.denominator <= self.ratio.numerator:
+            self.peak = (self.num, self.den)
+
+    def advance(self, n: int) -> None:
+        while self.n < n:
+            self.step()
+
+    def below_one(self, weight: Fraction = Fraction(1)) -> bool:
+        """Whether bound * weight < 1."""
+        return self.num * weight.numerator < self.den * weight.denominator
+
+    def value(self, weight: Fraction = Fraction(1)) -> Fraction:
+        return Fraction(self.num, self.den) * weight
+
+    def default_cap(self) -> int:
+        return 4 * factorial_dominance_index(self.ratio, 1 / self.start) + 4
+
+    def inconclusive(
+        self, n_cap: int, weight: Fraction = Fraction(1), peak_weight: Fraction = Fraction(1)
+    ) -> InconclusiveError:
+        if n_cap < 0:
+            return InconclusiveError(n_cap, None, None)
+        return InconclusiveError(n_cap, self.value(weight), Fraction(*self.peak) * peak_weight)
+
+
+@dataclass(frozen=True)
+class _Engine:
+    """One claim on a three-term engine: the integer the claim forces at
+    each index, the bound on it, and what the certificate records."""
+
+    witnesses: Iterator[int]
+    bound: _Decay
+    mode: RefutationMode
+    enclosures: Tuple[EnclosureRecord, ...]
+
+
 # --------------------------------------------------------------------------
 # tan engine: claim tan(t) = p/q, t = a/b != 0.  With r = 2t, the scaled
 # combination B**n (p u_n(r) + q v_n(r)) equals B**n q csc(r) I_n under the
-# claim; the tail bound on I_n and a zero-excluded sin enclosure trap it in
-# (-1, 1).
+# claim; the tail bound |I_n| <= r (r**2/4)**n / n! and a zero-excluded sin
+# enclosure trap it in (-1, 1).
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _TanParts:
-    p: int
-    q: int
-    r: Fraction
-    csc_upper: Fraction
-    sin_record: EnclosureRecord
-
-
-def _tan_parts(claim: Claim, start_width: Fraction) -> _TanParts:
+def _tan_engine(claim: Claim, width: Fraction) -> _Engine:
     t = claim.arg
     if t == 0:
         raise DegenerateClaimError("tan claim requires a nonzero argument")
@@ -240,68 +295,14 @@ def _tan_parts(claim: Claim, start_width: Fraction) -> _TanParts:
     if t < 0:  # tan is odd
         t, value = -t, -value
     r = 2 * t
-    sin_iv, sin_record = _enclosure_away_from_zero(Func.SIN, r, start_width)
-    return _TanParts(
-        p=value.numerator,
-        q=value.denominator,
-        r=r,
-        csc_upper=1 / sin_iv.min_abs(),
-        sin_record=sin_record,
+    sin_iv, sin_record = _enclosure_away_from_zero(Func.SIN, r, width)
+    p, q, a, b = value.numerator, value.denominator, r.numerator, r.denominator
+    return _Engine(
+        tan_track(a, b, p, q),
+        _Decay(q * r / sin_iv.min_abs(), Fraction(a * a, 4 * b)),
+        RefutationMode.NONZERO_SQUEEZE,
+        (sin_record,),
     )
-
-
-def _tan_witness(parts: _TanParts, pair: SequencePair) -> int:
-    a, b = parts.r.numerator, parts.r.denominator
-    return (
-        parts.p * pair.u.eval_scaled_integer(a, b, pair.n)
-        + parts.q * pair.v.eval_scaled_integer(a, b, pair.n)
-    )
-
-
-def _tan_bound(parts: _TanParts, n: int) -> Fraction:
-    r = parts.r
-    scale = Fraction(r.denominator) ** n
-    tail = tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, r, n))
-    return scale * parts.q * tail * parts.csc_upper
-
-
-def _tan_default_cap(parts: _TanParts) -> int:
-    r = parts.r
-    base = r.denominator * r * r / 4
-    threshold = 1 / (parts.q * r * parts.csc_upper)
-    return 4 * factorial_dominance_index(base, threshold) + 4
-
-
-def refute_tan(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
-    parts = _tan_parts(claim, _resolve_width(target_width))
-    if n_cap is None:
-        n_cap = _tan_default_cap(parts)
-    largest = last = None
-    pairs = iter_tan_sequence()
-    for n in range(n_cap + 1):
-        pair = next(pairs)
-        bound = last = _tan_bound(parts, n)
-        largest = bound if largest is None else max(largest, bound)
-        if bound >= 1:
-            continue
-        witness = _tan_witness(parts, pair)
-        if witness == 0:
-            continue
-        return Certificate(
-            claim=claim,
-            n=n,
-            sequence=None,
-            mode=RefutationMode.NONZERO_SQUEEZE,
-            witness=witness,
-            bound=bound,
-            enclosures=(parts.sin_record,),
-            transform=None,
-        )
-    raise InconclusiveError(n_cap, last, largest)
 
 
 # --------------------------------------------------------------------------
@@ -310,53 +311,16 @@ def refute_tan(
 # B_n = b**n (a/b) ((a/b)**2/4)**n / n! — an integer in (0, 1) once B_n < 1.
 # --------------------------------------------------------------------------
 
-def _positive_bound_search(a: int, b: int, prefactor: int, n_cap: int) -> Tuple[int, Fraction]:
-    """Least n with prefactor * a**(2n+1) / (4**n b**(n+1) n!) < 1, by exact
-    integer comparison; raises InconclusiveError past n_cap."""
-    num = prefactor * a
-    den = b
-    largest = last = None
-    for n in range(n_cap + 1):
-        if n > 0:
-            num *= a * a
-            den *= 4 * b * n
-        if num < den:
-            return n, Fraction(num, den)
-        last = Fraction(num, den)
-        largest = last if largest is None else max(largest, last)
-    raise InconclusiveError(n_cap, last, largest)
-
-
-def _pi_params(claim: Claim) -> Tuple[int, int]:
+def _pi_engine(claim: Claim, width: Fraction) -> _Engine:
     value = claim.value
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi must be positive")
-    return value.numerator, value.denominator
-
-
-def refute_pi(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
-    _resolve_width(target_width)
-    a, b = _pi_params(claim)
-    if n_cap is None:
-        n_cap = 4 * factorial_dominance_index(Fraction(a * a, 4 * b), Fraction(b, a)) + 4
-    n, bound = _positive_bound_search(a, b, 1, n_cap)
-    polys = iter_pi_sequence()
-    for _ in range(n):
-        next(polys)
-    witness = next(polys).eval_scaled_integer(a, b, n)
-    return Certificate(
-        claim=claim,
-        n=n,
-        sequence=None,
-        mode=RefutationMode.POSITIVE_SQUEEZE,
-        witness=witness,
-        bound=bound,
-        enclosures=(),
-        transform=None,
+    a, b = value.numerator, value.denominator
+    return _Engine(
+        pi_track(a, b),
+        _Decay(value, Fraction(a * a, 4 * b)),
+        RefutationMode.POSITIVE_SQUEEZE,
+        (),
     )
 
 
@@ -367,51 +331,17 @@ def refute_pi(
 # the sqrt over-approximation goes into the transcript.
 # --------------------------------------------------------------------------
 
-def _pi_squared_params(claim: Claim) -> Tuple[int, int, Fraction, EnclosureRecord]:
+def _pi_squared_engine(claim: Claim, width: Fraction) -> _Engine:
     value = claim.value
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi**2 must be positive")
     root_hi, record = _sqrt_record(value)
-    return value.numerator, value.denominator, root_hi, record
-
-
-def refute_pi_squared(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
-    _resolve_width(target_width)
-    a, b, root_hi, record = _pi_squared_params(claim)
-    if n_cap is None:
-        n_cap = 4 * factorial_dominance_index(Fraction(a, 4), 1 / root_hi) + 4
-    # B_n = root_hi * (a/4)**n / n!, decreasing by a/(4n) each step
-    bound = root_hi
-    found = None
-    largest = last = None
-    for n in range(n_cap + 1):
-        if n > 0:
-            bound = bound * a / (4 * n)
-        if bound < 1:
-            found = n
-            break
-        last = bound
-        largest = bound if largest is None else max(largest, bound)
-    if found is None:
-        raise InconclusiveError(n_cap, last, largest)
-    polys = iter_pi_sequence()
-    for _ in range(found):
-        next(polys)
-    squared_poly = next(polys).even_part_in_square()
-    witness = squared_poly.eval_scaled_integer(a, b, found)
-    return Certificate(
-        claim=claim,
-        n=found,
-        sequence=None,
-        mode=RefutationMode.POSITIVE_SQUEEZE,
-        witness=witness,
-        bound=bound,
-        enclosures=(record,),
-        transform=None,
+    a, b = value.numerator, value.denominator
+    return _Engine(
+        pi_squared_track(a, b),
+        _Decay(root_hi, Fraction(a, 4)),
+        RefutationMode.POSITIVE_SQUEEZE,
+        (record,),
     )
 
 
@@ -423,7 +353,7 @@ def refute_pi_squared(
 # conditional, exact, and rational.
 # --------------------------------------------------------------------------
 
-def _exp_params(claim: Claim) -> Tuple[int, int, Fraction]:
+def _exp_engine(claim: Claim, width: Fraction) -> _Engine:
     t = claim.arg
     if t == 0:
         raise DegenerateClaimError("exp claim requires a nonzero exponent")
@@ -432,38 +362,74 @@ def _exp_params(claim: Claim) -> Tuple[int, int, Fraction]:
         raise DegenerateClaimError("claimed value of an exponential must be positive")
     if t < 0:
         t, value = -t, 1 / value
-    return value.numerator, value.denominator, t
+    p, q, a, b = value.numerator, value.denominator, t.numerator, t.denominator
+    return _Engine(
+        exp_track(a, b, q, p),
+        _Decay(p * t, Fraction(a * a, 4 * b)),
+        RefutationMode.POSITIVE_SQUEEZE,
+        (),
+    )
 
 
-def refute_exp(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
-    _resolve_width(target_width)
-    p, q, r = _exp_params(claim)
-    a, b = r.numerator, r.denominator
+# --------------------------------------------------------------------------
+# tan-ratio engine: claim tan(t)/t = p/q with s = t**2 = a/b > 0.  The tan
+# polynomials split by parity, u_n(r) = U_n(r**2) and v_n(r) = r V_n(r**2);
+# with r = 2t this gives the integer b**n (p U_n(4s) + 2 q V_n(4s)), equal
+# under the claim to (q/t) csc(r) I_n.  Division by t sin(2t) = 2 s sinc
+# keeps everything inside rationals-of-s: with |I_n| <= 2 sqrt(s) s**n / n!
+# the bound is q sqrt(s) a**n / (s sinc(4s) n!).
+# --------------------------------------------------------------------------
+
+def _tan_ratio_engine(claim: Claim, width: Fraction) -> _Engine:
+    s = claim.arg
+    if s == 0:
+        raise DegenerateClaimError("tan-ratio claim requires a nonzero squared argument")
+    if s < 0:
+        raise NegativeSquareUnsupportedError("tan-ratio claims with s < 0 are unsupported")
+    sinc_iv, sinc_record = _enclosure_away_from_zero(Func.SINC_FROM_S, 4 * s, width)
+    root_hi, sqrt_rec = _sqrt_record(s)
+    p, q, a, b = claim.value.numerator, claim.value.denominator, s.numerator, s.denominator
+    return _Engine(
+        tan_ratio_track(a, b, p, 2 * q),
+        _Decay(q * root_hi / (s * sinc_iv.min_abs()), Fraction(a)),
+        RefutationMode.NONZERO_SQUEEZE,
+        (sinc_record, sqrt_rec),
+    )
+
+
+_ENGINES = {
+    ClaimKind.TAN: _tan_engine,
+    ClaimKind.TAN_RATIO: _tan_ratio_engine,
+    ClaimKind.PI: _pi_engine,
+    ClaimKind.PI_SQUARED: _pi_squared_engine,
+    ClaimKind.EXP: _exp_engine,
+}
+
+
+def _refute_three_term(claim: Claim, n_cap: Optional[int], width: Fraction) -> Certificate:
+    """First index whose bound is below 1 (and, for the nonzero squeeze,
+    whose witness is nonzero)."""
+    engine = _ENGINES[claim.kind](claim, width)
+    bound = engine.bound
     if n_cap is None:
-        n_cap = 4 * factorial_dominance_index(Fraction(a * a, 4 * b), Fraction(b, a * p)) + 4
-    n, bound = _positive_bound_search(a, b, p, n_cap)
-    pairs = iter_exp_sequence()
-    for _ in range(n):
-        next(pairs)
-    pair = next(pairs)
-    witness = (
-        q * pair.u.eval_scaled_integer(a, b, n)
-        + p * pair.v.eval_scaled_integer(a, b, n)
-    )
-    return Certificate(
-        claim=claim,
-        n=n,
-        sequence=None,
-        mode=RefutationMode.POSITIVE_SQUEEZE,
-        witness=witness,
-        bound=bound,
-        enclosures=(),
-        transform=None,
-    )
+        n_cap = bound.default_cap()
+    positive = engine.mode is RefutationMode.POSITIVE_SQUEEZE
+    for n in range(n_cap + 1):
+        if n:
+            bound.step()
+        witness = next(engine.witnesses)
+        if bound.below_one() and (positive or witness != 0):
+            return Certificate(
+                claim=claim,
+                n=n,
+                sequence=None,
+                mode=engine.mode,
+                witness=witness,
+                bound=bound.value(),
+                enclosures=engine.enclosures,
+                transform=None,
+            )
+    raise bound.inconclusive(n_cap)
 
 
 # --------------------------------------------------------------------------
@@ -478,49 +444,53 @@ class _CosParts:
     p: int
     q: int
     s: Fraction
+    # the tail bound of the sequence with weight power k is
+    # weights[k] * (s**2/4)**n / n! for s > 0, and
+    # weights[k] * hyper * (2 s**2)**n / n! for s < 0
+    weights: Tuple[Fraction, Fraction, Fraction, Fraction]
+    hyper: Fraction  # rational upper bound on e**sqrt(-s), or 1
 
 
 def _cos_parts(claim: Claim) -> _CosParts:
     s = claim.arg
     if s == 0:
         raise DegenerateClaimError("cos claim requires a nonzero squared argument")
-    return _CosParts(p=claim.value.numerator, q=claim.value.denominator, s=s)
-
-
-def _cos_witness(parts: _CosParts, pair: SequencePair) -> int:
-    a, b = parts.s.numerator, parts.s.denominator
-    exponent = 2 * pair.n + 1
-    return (
-        parts.q * pair.u.eval_scaled_integer(a, b, exponent)
-        + parts.p * pair.v.eval_scaled_integer(a, b, exponent)
+    root_hi = sqrt_bounds(abs(s)).hi
+    return _CosParts(
+        p=claim.value.numerator,
+        q=claim.value.denominator,
+        s=s,
+        weights=tuple(root_hi ** (k + 1) for k in range(4)),
+        hyper=exp_upper_bound(root_hi) if s < 0 else Fraction(1),
     )
 
 
-def _cos_gate(parts: _CosParts, n: int, weight_power: int) -> Fraction:
-    """Decay gate b**(2n+1) * tail_bound; sequences are only attempted once
-    this drops below 1, so the certificate's n sits past the tail crossing."""
-    scale = Fraction(parts.s.denominator) ** (2 * n + 1)
-    return scale * tail_bound(TailBoundSpec(TailKernel.COS_SYSTEM, parts.s, n, weight_power))
+def _cos_gate(parts: _CosParts) -> _Decay:
+    """Decay gate b**(2n+1) * tail bound, without the weight factor; a
+    sequence is only attempted once gate * weight drops below 1, so the
+    certificate's n sits past the tail crossing."""
+    a, b = parts.s.numerator, parts.s.denominator
+    ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
+    return _Decay(b * parts.hyper, ratio)
 
 
 def _cos_subset_attempt(
-    parts: _CosParts, pair: SequencePair, start_width: Fraction
+    parts: _CosParts, u: int, v: int, start_width: Fraction
 ) -> Optional[Tuple[Fraction, EnclosureRecord]]:
-    """Adaptive subset-of-(-1,1) test for b**(2n+1) q (u + v cos r).
+    """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v are
+    a sequence's coordinates already scaled by b**(2n+1).
 
     Returns (bound, cos enclosure record) on success, None if the scaled
     value is provably outside or the width floor is hit while straddling."""
     s = parts.s
-    u_val = pair.u.eval_rational(s)
-    v_val = pair.v.eval_rational(s)
-    scale = Fraction(parts.q) * Fraction(s.denominator) ** (2 * pair.n + 1)
-    # a width-w cos enclosure becomes a value window of width w |v| scale, so
+    qu, qv = parts.q * u, parts.q * v
+    # a width-w cos enclosure becomes a value window of width w |q v|, so
     # divide the coefficient out up front; the halvings below then only fire
     # when the true value sits within start_width of the unit boundary
-    width = start_width / max(1, 2 * abs(v_val) * scale)
+    width = start_width / max(1, 2 * abs(qv))
     for _ in range(_MAX_SUBSET_HALVINGS):
         cos_iv = enclose(EnclosureRequest(Func.COS_FROM_S, s, width))
-        value_iv = cos_iv.scale(v_val).translate(u_val).scale(scale)
+        value_iv = cos_iv.scale(qv).translate(qu)
         if value_iv.is_inside_open_unit():
             record = EnclosureRecord(Func.COS_FROM_S.value, s, cos_iv.lo, cos_iv.hi)
             return value_iv.max_abs(), record
@@ -530,13 +500,9 @@ def _cos_subset_attempt(
     return None
 
 
-def _cos_default_cap(parts: _CosParts) -> int:
-    s, b, q = parts.s, parts.s.denominator, parts.q
-    kernel_base = s * s / 4 if s > 0 else 2 * s * s
-    root_hi = sqrt_bounds(abs(s)).hi
-    hyper = exp_upper_bound(root_hi) if s < 0 else Fraction(1)
-    prefactor = b * q * max(root_hi, 1) ** 4 * hyper
-    return 4 * factorial_dominance_index(b * b * kernel_base, 1 / prefactor) + 8
+def _cos_default_cap(parts: _CosParts, gate: _Decay) -> int:
+    prefactor = parts.q * max(parts.weights[0], 1) ** 4 * gate.start
+    return 4 * factorial_dominance_index(gate.ratio, 1 / prefactor) + 8
 
 
 _COS_SEQUENCE_ORDER = (SequenceId.I, SequenceId.J, SequenceId.K, SequenceId.L)
@@ -549,22 +515,22 @@ def refute_cos(
 ) -> Certificate:
     width = _resolve_width(target_width)
     parts = _cos_parts(claim)
+    gate = _cos_gate(parts)
     if n_cap is None:
-        n_cap = _cos_default_cap(parts)
-    largest = last = None
-    states = iter_cos_system()
+        n_cap = _cos_default_cap(parts, gate)
+    states = cos_track(parts.s.numerator, parts.s.denominator)
     for n in range(n_cap + 1):
+        if n:
+            gate.step()
         state = next(states)
         for seq_id in _COS_SEQUENCE_ORDER:
-            gate = last = _cos_gate(parts, n, _SEQUENCE_WEIGHT_POWER[seq_id])
-            largest = gate if largest is None else max(largest, gate)
-            if gate >= 1:
+            if not gate.below_one(parts.weights[_SEQUENCE_WEIGHT_POWER[seq_id]]):
                 continue
-            pair = state.by_id(seq_id.value)
-            witness = _cos_witness(parts, pair)
+            u, v = state.pair(seq_id.value)
+            witness = parts.q * u + parts.p * v
             if witness == 0:
                 continue
-            accepted = _cos_subset_attempt(parts, pair, width)
+            accepted = _cos_subset_attempt(parts, u, v, width)
             if accepted is None:
                 continue
             bound, record = accepted
@@ -578,99 +544,9 @@ def refute_cos(
                 enclosures=(record,),
                 transform=None,
             )
-    raise InconclusiveError(n_cap, last, largest)
-
-
-# --------------------------------------------------------------------------
-# tan-ratio engine: claim tan(t)/t = p/q with s = t**2 = a/b > 0.  The tan
-# polynomials split by parity, u_n(r) = U_n(r**2) and v_n(r) = r V_n(r**2);
-# with r = 2t this gives the integer b**n (p U_n(4s) + 2 q V_n(4s)), equal
-# under the claim to (q/t) csc(r) I_n.  Division by t sin(2t) = 2 s sinc
-# keeps everything inside rationals-of-s.
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _TanRatioParts:
-    p: int
-    q: int
-    s: Fraction
-    sinc_min: Fraction
-    root_hi: Fraction
-    records: Tuple[EnclosureRecord, EnclosureRecord]
-
-
-def _tan_ratio_parts(claim: Claim, start_width: Fraction) -> _TanRatioParts:
-    s = claim.arg
-    if s == 0:
-        raise DegenerateClaimError("tan-ratio claim requires a nonzero squared argument")
-    if s < 0:
-        raise NegativeSquareUnsupportedError("tan-ratio claims with s < 0 are unsupported")
-    sinc_iv, sinc_record = _enclosure_away_from_zero(Func.SINC_FROM_S, 4 * s, start_width)
-    root_hi, sqrt_rec = _sqrt_record(s)
-    return _TanRatioParts(
-        p=claim.value.numerator,
-        q=claim.value.denominator,
-        s=s,
-        sinc_min=sinc_iv.min_abs(),
-        root_hi=root_hi,
-        records=(sinc_record, sqrt_rec),
-    )
-
-
-def _tan_ratio_witness(parts: _TanRatioParts, pair: SequencePair) -> int:
-    a, b = parts.s.numerator, parts.s.denominator
-    u_in_square = pair.u.even_part_in_square()
-    v_in_square = pair.v.odd_part_in_square()
-    return (
-        parts.p * u_in_square.eval_scaled_integer(4 * a, b, pair.n)
-        + 2 * parts.q * v_in_square.eval_scaled_integer(4 * a, b, pair.n)
-    )
-
-
-def _tan_ratio_bound(parts: _TanRatioParts, n: int) -> Fraction:
-    # b**n q |I_n| / (t sin 2t) with |I_n| <= 2 sqrt(s) s**n / n! and
-    # t sin 2t = 2 s sinc(4s)
-    s = parts.s
-    scale = Fraction(s.denominator) ** n
-    return scale * parts.q * parts.root_hi * s ** n / (s * factorial(n) * parts.sinc_min)
-
-
-def _tan_ratio_default_cap(parts: _TanRatioParts) -> int:
-    base = Fraction(parts.s.numerator)  # b**n s**n = a**n
-    prefactor = parts.q * parts.root_hi / (parts.s * parts.sinc_min)
-    return 4 * factorial_dominance_index(base, 1 / prefactor) + 4
-
-
-def refute_tan_ratio(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
-    parts = _tan_ratio_parts(claim, _resolve_width(target_width))
-    if n_cap is None:
-        n_cap = _tan_ratio_default_cap(parts)
-    largest = last = None
-    pairs = iter_tan_sequence()
-    for n in range(n_cap + 1):
-        pair = next(pairs)
-        bound = last = _tan_ratio_bound(parts, n)
-        largest = bound if largest is None else max(largest, bound)
-        if bound >= 1:
-            continue
-        witness = _tan_ratio_witness(parts, pair)
-        if witness == 0:
-            continue
-        return Certificate(
-            claim=claim,
-            n=n,
-            sequence=None,
-            mode=RefutationMode.NONZERO_SQUEEZE,
-            witness=witness,
-            bound=bound,
-            enclosures=parts.records,
-            transform=None,
-        )
-    raise InconclusiveError(n_cap, last, largest)
+    # the gates at n_cap ended with L's; the largest is at the bound's peak,
+    # with the largest weight
+    raise gate.inconclusive(n_cap, parts.weights[3], max(parts.weights[0], parts.weights[3]))
 
 
 # --------------------------------------------------------------------------
@@ -716,26 +592,17 @@ def refute_squared_trig(
     )
 
 
-_REFUTERS = {
-    ClaimKind.TAN: refute_tan,
-    ClaimKind.TAN_RATIO: refute_tan_ratio,
-    ClaimKind.PI: refute_pi,
-    ClaimKind.PI_SQUARED: refute_pi_squared,
-    ClaimKind.COS: refute_cos,
-    ClaimKind.EXP: refute_exp,
-    ClaimKind.SIN_SQ: refute_squared_trig,
-    ClaimKind.COS_SQ: refute_squared_trig,
-    ClaimKind.TAN_SQ: refute_squared_trig,
-}
-
-
 def refute(
     claim: Claim,
     n_cap: Optional[int] = None,
     target_width: Optional[Fraction] = None,
 ) -> Certificate:
     """Dispatch a claim to its engine; deterministic for fixed claim/cap/width."""
-    return _REFUTERS[claim.kind](claim, n_cap, target_width)
+    if claim.kind is ClaimKind.COS:
+        return refute_cos(claim, n_cap, target_width)
+    if claim.kind in _TRANSFORM_KINDS:
+        return refute_squared_trig(claim, n_cap, target_width)
+    return _refute_three_term(claim, n_cap, _resolve_width(target_width))
 
 
 # --------------------------------------------------------------------------
@@ -794,65 +661,37 @@ def _check_replayed_fields(
     return None
 
 
+def _replay_cos(cert: Certificate, claim: Claim, width: Fraction) -> Optional[str]:
+    parts = _cos_parts(claim)
+    gate = _cos_gate(parts)
+    gate.advance(cert.n)
+    if not gate.below_one(parts.weights[_SEQUENCE_WEIGHT_POWER[cert.sequence]]):
+        return "decay gate not satisfied at certificate index"
+    state = _advance(cos_track(parts.s.numerator, parts.s.denominator), cert.n)
+    u, v = state.pair(cert.sequence.value)
+    attempt = _cos_subset_attempt(parts, u, v, width)
+    if attempt is None:
+        return "squeeze condition fails"
+    bound, record = attempt
+    return _check_replayed_fields(cert, parts.q * u + parts.p * v, bound, (record,), True)
+
+
 def _replay_at_certificate(cert: Certificate, claim: Claim, width: Fraction) -> Optional[str]:
-    """Recompute witness/bound/enclosures at the certificate's own (n, seq)."""
-    kind = claim.kind
+    """Recompute witness/bound/enclosures at the certificate's own (n, seq),
+    stepping the same tracks and bounds as the search."""
     try:
-        if kind is ClaimKind.TAN:
-            parts = _tan_parts(claim, width)
-            pair = _advance(iter_tan_sequence(), cert.n)
-            bound = _tan_bound(parts, cert.n)
-            return _check_replayed_fields(
-                cert, _tan_witness(parts, pair), bound, (parts.sin_record,), bound < 1
-            )
-        if kind is ClaimKind.TAN_RATIO:
-            parts = _tan_ratio_parts(claim, width)
-            pair = _advance(iter_tan_sequence(), cert.n)
-            bound = _tan_ratio_bound(parts, cert.n)
-            return _check_replayed_fields(
-                cert, _tan_ratio_witness(parts, pair), bound, parts.records, bound < 1
-            )
-        if kind is ClaimKind.PI:
-            a, b = _pi_params(claim)
-            poly = _advance(iter_pi_sequence(), cert.n)
-            bound = Fraction(a) ** (2 * cert.n + 1) / (
-                Fraction(4) ** cert.n * Fraction(b) ** (cert.n + 1) * factorial(cert.n)
-            )
-            witness = poly.eval_scaled_integer(a, b, cert.n)
-            return _check_replayed_fields(cert, witness, bound, (), bound < 1)
-        if kind is ClaimKind.PI_SQUARED:
-            a, b, root_hi, record = _pi_squared_params(claim)
-            poly = _advance(iter_pi_sequence(), cert.n).even_part_in_square()
-            bound = root_hi * Fraction(a, 4) ** cert.n / factorial(cert.n)
-            witness = poly.eval_scaled_integer(a, b, cert.n)
-            return _check_replayed_fields(cert, witness, bound, (record,), bound < 1)
-        if kind is ClaimKind.EXP:
-            p, q, r = _exp_params(claim)
-            a, b = r.numerator, r.denominator
-            pair = _advance(iter_exp_sequence(), cert.n)
-            bound = p * Fraction(a) ** (2 * cert.n + 1) / (
-                Fraction(4) ** cert.n * Fraction(b) ** (cert.n + 1) * factorial(cert.n)
-            )
-            witness = (
-                q * pair.u.eval_scaled_integer(a, b, cert.n)
-                + p * pair.v.eval_scaled_integer(a, b, cert.n)
-            )
-            return _check_replayed_fields(cert, witness, bound, (), bound < 1)
-        if kind is ClaimKind.COS:
-            parts = _cos_parts(claim)
-            state = _advance(iter_cos_system(), cert.n)
-            pair = state.by_id(cert.sequence.value)
-            if _cos_gate(parts, cert.n, _SEQUENCE_WEIGHT_POWER[cert.sequence]) >= 1:
-                return "decay gate not satisfied at certificate index"
-            witness = _cos_witness(parts, pair)
-            attempt = _cos_subset_attempt(parts, pair, width)
-            if attempt is None:
-                return "squeeze condition fails"
-            bound, record = attempt
-            return _check_replayed_fields(cert, witness, bound, (record,), True)
+        if claim.kind is ClaimKind.COS:
+            return _replay_cos(cert, claim, width)
+        if claim.kind not in _ENGINES:
+            return f"unsupported kind {claim.kind.value}"
+        engine = _ENGINES[claim.kind](claim, width)
     except RefutationError as exc:
         return f"claim rejected on replay: {exc}"
-    return f"unsupported kind {kind.value}"
+    witness = _advance(engine.witnesses, cert.n)
+    engine.bound.advance(cert.n)
+    return _check_replayed_fields(
+        cert, witness, engine.bound.value(), engine.enclosures, engine.bound.below_one()
+    )
 
 
 def check_certificate(
@@ -934,12 +773,33 @@ def to_canonical_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_jsonable(cert), sort_keys=True, separators=(",", ":"))
 
 
+# documents accept only what serialization emits: integers without signs,
+# leading zeros, underscores or whitespace, and rationals "num/den" in lowest
+# terms with a positive denominator (command-line parsing stays lenient)
+_CANONICAL_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _document_integer(text, field: str) -> int:
+    if not isinstance(text, str) or _CANONICAL_INTEGER.fullmatch(text) is None:
+        raise ValueError(f"{field} must be a canonical decimal integer string")
+    return int(text)
+
+
+def _document_rational(text, field: str) -> Fraction:
+    if not isinstance(text, str) or text.count("/") != 1:
+        raise ValueError(f"{field} must be a rational string num/den")
+    num, den = (_document_integer(part, field) for part in text.split("/"))
+    if den <= 0 or gcd(num, den) != 1:
+        raise ValueError(f"{field} must be in lowest terms with a positive denominator")
+    return Fraction(num, den)
+
+
 def _claim_from_jsonable(doc) -> Claim:
     if not isinstance(doc, dict) or set(doc) != {"kind", "arg", "value"}:
         raise ValueError("malformed claim object")
     kind = ClaimKind(doc["kind"])
-    arg = None if doc["arg"] is None else parse_rational(doc["arg"])
-    return Claim(kind, arg, parse_rational(doc["value"]))
+    arg = None if doc["arg"] is None else _document_rational(doc["arg"], "claim argument")
+    return Claim(kind, arg, _document_rational(doc["value"], "claimed value"))
 
 
 def certificate_from_json(text: str) -> Certificate:
@@ -955,17 +815,15 @@ def certificate_from_json(text: str) -> Certificate:
     }
     if set(doc) != expected_keys:
         raise ValueError("certificate object has unexpected structure")
-    if doc["version"] != SCHEMA_VERSION:
+    if type(doc["version"]) is not int or doc["version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported certificate version {doc['version']!r}")
     claim = _claim_from_jsonable(doc["claim"])
     if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
         raise ValueError("index n must be an integer")
     sequence = None if doc["sequence"] is None else SequenceId(doc["sequence"])
     mode = RefutationMode(doc["mode"])
-    if not isinstance(doc["witness"], str):
-        raise ValueError("witness must be a decimal string")
-    witness = int(doc["witness"])
-    bound = parse_rational(doc["bound"])
+    witness = _document_integer(doc["witness"], "witness")
+    bound = _document_rational(doc["bound"], "bound")
     if not isinstance(doc["enclosures"], list):
         raise ValueError("enclosures must be a list")
     records = []
@@ -975,9 +833,9 @@ def certificate_from_json(text: str) -> Certificate:
         records.append(
             EnclosureRecord(
                 rec["fn"],
-                parse_rational(rec["arg"]),
-                parse_rational(rec["lo"]),
-                parse_rational(rec["hi"]),
+                _document_rational(rec["arg"], "enclosure argument"),
+                _document_rational(rec["lo"], "enclosure bound"),
+                _document_rational(rec["hi"], "enclosure bound"),
             )
         )
     transform = None

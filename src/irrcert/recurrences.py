@@ -1,4 +1,5 @@
-"""Integer-polynomial recurrence engines for the certificate integrals.
+"""Recurrence engines for the certificate integrals, as polynomials and as
+integer tracks at one point.
 
 Each engine tracks integrals of the shape  integral of (r*x - x**2)**n / n!
 (or its quartic analogue) against a trig or exponential weight, written in a
@@ -11,19 +12,24 @@ fixed two-element basis with integer-polynomial coordinates:
   polynomials in s = r**2, degree <= 2n + 1
 
 The recurrences come from integrating by parts twice, which is also why the
-same coefficients act on u and v simultaneously.  Sequences are generated
-eagerly up to n_max and returned as lists (certificate search needs random
-access); the ``iter_*`` generators are the rolling form used when only the
-final index matters.
+same coefficients act on u and v simultaneously.
+
+Two forms are provided.  The ``iter_*`` generators (and their eager list
+wrappers) build the whole ``IntPoly`` coordinates; ``irrcert table``,
+``oracle-check`` and the identity tests use them.  The ``*_track``
+generators run the same recurrences on plain integers at one rational point
+a/b, already multiplied by the power of b that makes every value an
+integer; the certificate search and its checker use these, since a
+certificate needs one integer per index and never a whole polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple, Tuple
 
-from .exactnum import IntPoly
+from .exactnum import DegreeBoundError, IntPoly
 
 
 class BasisTag(Enum):
@@ -194,3 +200,93 @@ def descent_identity_check(state: CosSystemState) -> bool:
         if l != (4 * n + 3) * k + j.shift(1) - (2 * n + 1) * i.shift(1):
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# scalar tracks: the recurrences above at one point a/b, scaled to integers.
+# The tan-family engines all share the three-term shape
+#     W_n = (4n - 2) k W_{n-1} - c W_{n-2},
+# and since the step is linear, a combination x u_n + y v_n is one track.
+# --------------------------------------------------------------------------
+
+def _three_term_track(k: int, c: int, w0: int, w1: int) -> Iterator[int]:
+    yield w0
+    yield w1
+    n = 2
+    while True:
+        w0, w1 = w1, (4 * n - 2) * k * w1 - c * w0
+        yield w1
+        n += 1
+
+
+def tan_track(a: int, b: int, x: int, y: int) -> Iterator[int]:
+    """b**n (x u_n + y v_n)(a/b) of the tan engine, n = 0, 1, ..."""
+    return _three_term_track(b, a * a, x, 2 * x * b - y * a)
+
+
+def pi_track(a: int, b: int) -> Iterator[int]:
+    """b**n P_n(a/b) of the pi engine."""
+    return _three_term_track(b, a * a, 2, 4 * b)
+
+
+def pi_squared_track(a: int, b: int) -> Iterator[int]:
+    """b**n Q_n(a/b) for the even part P_n(t) = Q_n(t**2) of the pi engine."""
+    return _three_term_track(b, a * b, 2, 4 * b)
+
+
+def exp_track(a: int, b: int, x: int, y: int) -> Iterator[int]:
+    """b**n (x u_n + y v_n)(a/b) of the exp engine (signs flipped)."""
+    return _three_term_track(-b, -a * a, y - x, x * (2 * b + a) + y * (a - 2 * b))
+
+
+def tan_ratio_track(a: int, b: int, x: int, y: int) -> Iterator[int]:
+    """b**n (x U_n + y V_n)(4a/b) for the tan engine's parity parts
+    u_n(r) = U_n(r**2) and v_n(r) = r V_n(r**2)."""
+    return _three_term_track(b, 4 * a * b, x, 2 * x * b - y * b)
+
+
+def _drop_spare_power(value: int, b: int) -> int:
+    quotient, remainder = divmod(value, b)
+    if remainder:
+        raise DegreeBoundError("cos-system value is not divisible by its spare power of b")
+    return quotient
+
+
+class CosTrackState(NamedTuple):
+    """The cos system at s = a/b and index n, as the eight integers
+    b**(2n+2) times u and v of I, J, K and L: one spare power of b, so that
+    the 2n s I_n term of the L step divides exactly."""
+
+    n: int
+    b: int
+    values: Tuple[int, int, int, int, int, int, int, int]
+
+    def pair(self, letter: str) -> Tuple[int, int]:
+        """(b**(2n+1) u_n(s), b**(2n+1) v_n(s)) of sequence ``letter``."""
+        i = 2 * "IJKL".index(letter)
+        return (_drop_spare_power(self.values[i], self.b),
+                _drop_spare_power(self.values[i + 1], self.b))
+
+
+def cos_track(a: int, b: int) -> Iterator[CosTrackState]:
+    """The cos system at s = a/b, n = 0, 1, ...; same update order as
+    ``iter_cos_system``."""
+    bb, ab, aa = b * b, a * b, a * a
+    iu, iv = bb, -bb
+    ju, jv = bb, -bb
+    ku, kv = ab - 2 * bb, 2 * bb
+    lu, lv = 3 * ab - 6 * bb, 6 * bb
+    yield CosTrackState(0, b, (iu, iv, ju, jv, ku, kv, lu, lv))
+    n = 1
+    while True:
+        niu = 4 * bb * lu - 2 * ab * ju
+        niv = 4 * bb * lv - 2 * ab * jv
+        nju = (4 * n + 1) * niu - 2 * ab * ku
+        njv = (4 * n + 1) * niv - 2 * ab * kv
+        nku = -(4 * n + 2) * nju + 2 * ab * lu
+        nkv = -(4 * n + 2) * njv + 2 * ab * lv
+        nlu = (4 * n + 3) * nku + 2 * n * a * _drop_spare_power(niu, b) - 2 * aa * ku
+        nlv = (4 * n + 3) * nkv + 2 * n * a * _drop_spare_power(niv, b) - 2 * aa * kv
+        iu, iv, ju, jv, ku, kv, lu, lv = niu, niv, nju, njv, nku, nkv, nlu, nlv
+        yield CosTrackState(n, b, (iu, iv, ju, jv, ku, kv, lu, lv))
+        n += 1

@@ -83,6 +83,13 @@ class TestEngineLandingSpots:
         cert = refute(Claim(ClaimKind.TAN_RATIO, F(1, 4), F(1)))
         assert (cert.n, cert.witness) == (3, -640)
 
+    def test_tan_deep_index(self):
+        # n = 3043 with a 17358-digit witness; refute and verify together
+        # take well under a second on the integer tracks
+        cert = refute(Claim(ClaimKind.TAN, F(355, 113), F(1)))
+        assert (cert.n, len(str(abs(cert.witness)))) == (3043, 17358)
+        assert check_certificate(cert).ok
+
     def test_squared_trig_delegation(self):
         cert = refute(Claim(ClaimKind.SIN_SQ, F(1), F(7, 10)))
         assert cert.transform == TransformRecord(
@@ -154,6 +161,69 @@ class TestInconclusive:
         assert info.value.last_n == 3
         assert info.value.last_bound > 1
 
+    # (claim, n_cap, last_bound, largest_bound), recorded from the search
+    # that evaluated a Fraction bound at every index; the corpus never
+    # reaches this path, so these pin its diagnostics.  Small caps stop
+    # before or at the bound's peak, caps of n - 1 stop past it.
+    PINNED = [
+        (Claim(ClaimKind.TAN, F(1), F(1557, 1000)), 3,
+         "12726023443093898437500/34715221111585751813",
+         "76356140658563390625000/34715221111585751813"),
+        (Claim(ClaimKind.TAN, F(1), F(1557, 1000)), 6,
+         "212100390718231640625/69430442223171503626",
+         "76356140658563390625000/34715221111585751813"),
+        (Claim(ClaimKind.TAN, F(3, 2), F(-14)), 7,
+         "641685914826391378944000/521126015052362119157437",
+         "28042095031096317050880000/521126015052362119157437"),
+        (Claim(ClaimKind.TAN_RATIO, F(1), F(14, 9)), 2,
+         "687205265927070515625/69430442223171503626",
+         "687205265927070515625/34715221111585751813"),
+        (Claim(ClaimKind.TAN_RATIO, F(1), F(14, 9)), 3,
+         "229068421975690171875/69430442223171503626",
+         "687205265927070515625/34715221111585751813"),
+        (Claim(ClaimKind.PI, None, F(22, 7)), 3, "19487171/7203", "19487171/7203"),
+        (Claim(ClaimKind.PI, None, F(22, 7)), 45,
+         "3991752525806366807142706250946898793976707904191394898908669641212605833694395345300019971"
+         "/3059996751780507314531551777010370245292717194608178901169535792123908578418360320000000000",
+         "255476698618765889551019445759400441/26327556568969158387935232000"),
+        (Claim(ClaimKind.PI_SQUARED, None, F(227, 23)), 5,
+         "34929954429636658167144910812169/2266735911777429702574080",
+         "34929954429636658167144910812169/2266735911777429702574080"),
+        (Claim(ClaimKind.PI_SQUARED, None, F(10)), 6,
+         "60764298632432457134375/56668397794435742564352",
+         "1458343167178378971225/147573952589676412928"),
+        (Claim(ClaimKind.EXP, F(2), F(7)), 2, "7/1", "14/1"),
+        (Claim(ClaimKind.EXP, F(2), F(7)), 3, "7/3", "14/1"),
+        (Claim(ClaimKind.COS, F(9), F(2)), 4, "1162261467/2048", "1162261467/2048"),
+        (Claim(ClaimKind.COS, F(-1), F(3, 2)), 2, "9864103/1814400", "9864103/1814400"),
+        (Claim(ClaimKind.COS, F(-1), F(3, 2)), 4, "9864103/5443200", "9864103/1814400"),
+        (Claim(ClaimKind.COS, F(5), F(-3, 5)), 15,
+         "84249833334845749359125109260787919884764989027250911801034752367235733217604458332061767578125"
+         "/5080756631749080752307669055811039947559320730512768535001572723519757412336425546321059905536",
+         "552139707743245102999962316051499711756795832088991575579261353113916101214892578125"
+         "/266784973602776514255907549460016939693934044669635859546910273554231850690412544"),
+        (Claim(ClaimKind.SIN_SQ, F(1), F(7, 10)), 3, "512/3", "512/3"),
+        (Claim(ClaimKind.SIN_SQ, F(1), F(7, 10)), 9, "32768/2835", "512/3"),
+        (Claim(ClaimKind.COS_SQ, F(1), F(1, 4)), 9, "32768/2835", "512/3"),
+        (Claim(ClaimKind.TAN_SQ, F(1), F(9, 4)), 9, "32768/2835", "512/3"),
+    ]
+
+    @pytest.mark.parametrize("claim,n_cap,last,largest", PINNED)
+    def test_pinned_diagnostics(self, claim, n_cap, last, largest):
+        with pytest.raises(InconclusiveError) as info:
+            refute(claim, n_cap=n_cap)
+        assert info.value.last_n == n_cap
+        assert info.value.last_bound == F(last)
+        assert info.value.largest_bound == F(largest)
+
+    def test_negative_cap_reports_no_bounds(self):
+        for claim in (Claim(ClaimKind.TAN, F(1), F(2)), Claim(ClaimKind.PI, None, F(3)),
+                      Claim(ClaimKind.COS, F(1), F(1, 2))):
+            with pytest.raises(InconclusiveError) as info:
+                refute(claim, n_cap=-1)
+            assert (info.value.last_n, info.value.last_bound, info.value.largest_bound) == (
+                -1, None, None)
+
 
 class TestHypothesisIndependence:
     def test_nonzero_enclosures_ignore_claimed_value(self):
@@ -220,7 +290,12 @@ class TestChecker:
         pair = cos_system(1)[1].J
         witness = 2 * pair.u.eval_scaled_integer(1, 1, 3) + 1 * pair.v.eval_scaled_integer(1, 1, 3)
         assert witness == -10
-        accepted = _cos_subset_attempt(_cos_parts(claim), pair, _DEFAULT_TARGET_WIDTH)
+        accepted = _cos_subset_attempt(
+            _cos_parts(claim),
+            pair.u.eval_scaled_integer(1, 1, 3),
+            pair.v.eval_scaled_integer(1, 1, 3),
+            _DEFAULT_TARGET_WIDTH,
+        )
         assert accepted is not None
         bound, record = accepted
         forged = replace(
@@ -286,6 +361,29 @@ class TestSerialization:
             lambda d: d.update(enclosures={}),
             lambda d: d.update(claim={"kind": "tan"}),
             lambda d: d.update(transform={"identity": "sin_sq"}),
+            lambda d: d.update(version=True),
+            lambda d: d.update(version=1.0),
+            # only the canonical integer and rational strings are accepted
+            lambda d: d.update(witness="+" + d["witness"]),
+            lambda d: d.update(witness="0" + d["witness"]),
+            lambda d: d.update(witness=d["witness"] + " "),
+            lambda d: d.update(witness=d["witness"][:2] + "_" + d["witness"][2:]),
+            lambda d: d.update(witness="٣"),
+            lambda d: d.update(witness="-0"),
+            lambda d: d.update(bound="2/4"),
+            lambda d: d.update(bound="1/-2"),
+            lambda d: d.update(bound="-1/-2"),
+            lambda d: d.update(bound="1/0"),
+            lambda d: d.update(bound="1"),
+            lambda d: d.update(bound="1/2/3"),
+            lambda d: d.update(bound=0.5),
+            lambda d: d["claim"].update(value="4/2"),
+            lambda d: d["claim"].update(value="0/2"),
+            lambda d: d["claim"].update(value=2),
+            lambda d: d["claim"].update(arg=""),
+            lambda d: d["claim"].update(arg=["1/1"]),
+            lambda d: d["enclosures"][0].update(lo=0),
+            lambda d: d["enclosures"][0].update(hi="1/1.0"),
         ],
     )
     def test_malformed_documents_rejected(self, mangle):

@@ -150,6 +150,36 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "malformed" in err
 
+    @pytest.mark.parametrize(
+        "field,hostile",
+        [
+            # witness_underscore: int() reads "-3_960448" as -3960448
+            ("witness", lambda doc: doc["witness"][:2] + "_" + doc["witness"][2:]),
+            # value_doubled_terms: the same value, not in lowest terms
+            ("value", lambda doc: "3114/2000"),
+            # value_json_number: a JSON number where a string belongs
+            ("value", lambda doc: 1.557),
+        ],
+        ids=["witness_underscore", "value_doubled_terms", "value_json_number"],
+    )
+    def test_non_canonical_documents_exit_1(self, capsys, tmp_path, field, hostile):
+        path = self.refute_to_file(
+            capsys, tmp_path, "--kind", "tan", "--arg", "1", "--value", "1557/1000"
+        )
+        doc = json.loads(path.read_text())
+        target = doc if field == "witness" else doc["claim"]
+        target[field] = hostile(doc)
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert "malformed certificate" in err
+
+    def test_lenient_argument_parsing_stays(self, capsys):
+        # the strict grammar is for certificate documents only
+        code, out, _ = run(capsys, "refute", "--kind", "pi", "--value", " 44/14")
+        assert code == 0
+        assert json.loads(out)["claim"]["value"] == "22/7"
+
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 1

@@ -1,19 +1,28 @@
 """Unit tests for the four recurrence engines and their exact identities."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from irrcert.exactnum import IntPoly
+from irrcert.exactnum import DegreeBoundError, IntPoly
 from irrcert.recurrences import (
     BasisTag,
+    CosTrackState,
     cos_system,
+    cos_track,
     descent_identity_check,
     exp_sequence,
+    exp_track,
     iter_cos_system,
     iter_tan_sequence,
     pi_sequence,
+    pi_squared_track,
+    pi_track,
+    tan_ratio_track,
     tan_sequence,
+    tan_track,
 )
 
 N_AUDIT = 16
@@ -159,3 +168,99 @@ class TestCosSystem:
         it = iter_cos_system()
         for state in cos_system(6):
             assert next(it) == state
+
+
+# --------------------------------------------------------------------------
+# scalar tracks against the polynomial engines they replace in the search:
+# each track value must equal the scaled integer evaluation of its
+# polynomials at the same point, for every n <= N_TRACK
+# --------------------------------------------------------------------------
+
+N_TRACK = 50
+N_DEGREE_FENCE = 150
+
+signed_num = st.integers(min_value=-60, max_value=60)
+positive_num = st.integers(min_value=1, max_value=60)
+den = st.integers(min_value=1, max_value=40)
+coeff = st.integers(min_value=-99, max_value=99)
+track_settings = settings(max_examples=15, deadline=None)
+
+
+@functools.lru_cache(maxsize=None)
+def _polys(engine: str):
+    return {"tan": tan_sequence, "pi": pi_sequence, "exp": exp_sequence,
+            "cos": cos_system}[engine](N_TRACK)
+
+
+def _take(track):
+    return [next(track) for _ in range(N_TRACK + 1)]
+
+
+class TestScalarTracks:
+    @track_settings
+    @given(a=signed_num, b=den, x=coeff, y=coeff)
+    def test_tan(self, a, b, x, y):
+        expected = [x * pair.u.eval_scaled_integer(a, b, pair.n)
+                    + y * pair.v.eval_scaled_integer(a, b, pair.n)
+                    for pair in _polys("tan")]
+        assert _take(tan_track(a, b, x, y)) == expected
+
+    @track_settings
+    @given(a=positive_num, b=den)
+    def test_pi(self, a, b):
+        expected = [poly.eval_scaled_integer(a, b, n) for n, poly in enumerate(_polys("pi"))]
+        assert _take(pi_track(a, b)) == expected
+
+    @track_settings
+    @given(a=positive_num, b=den)
+    def test_pi_squared_even_part(self, a, b):
+        expected = [poly.even_part_in_square().eval_scaled_integer(a, b, n)
+                    for n, poly in enumerate(_polys("pi"))]
+        assert _take(pi_squared_track(a, b)) == expected
+
+    @track_settings
+    @given(a=positive_num, b=den, x=coeff, y=coeff)
+    def test_exp(self, a, b, x, y):
+        expected = [x * pair.u.eval_scaled_integer(a, b, pair.n)
+                    + y * pair.v.eval_scaled_integer(a, b, pair.n)
+                    for pair in _polys("exp")]
+        assert _take(exp_track(a, b, x, y)) == expected
+
+    @track_settings
+    @given(a=positive_num, b=den, x=coeff, y=coeff)
+    def test_tan_ratio_parity_parts(self, a, b, x, y):
+        expected = [x * pair.u.even_part_in_square().eval_scaled_integer(4 * a, b, pair.n)
+                    + y * pair.v.odd_part_in_square().eval_scaled_integer(4 * a, b, pair.n)
+                    for pair in _polys("tan")]
+        assert _take(tan_ratio_track(a, b, x, y)) == expected
+
+    @track_settings
+    @given(a=signed_num.filter(bool), b=den)
+    def test_cos_all_eight(self, a, b):
+        for state, track in zip(_polys("cos"), cos_track(a, b)):
+            exponent = 2 * state.n + 1
+            for letter in "IJKL":
+                pair = state.by_id(letter)
+                assert track.pair(letter) == (
+                    pair.u.eval_scaled_integer(a, b, exponent),
+                    pair.v.eval_scaled_integer(a, b, exponent),
+                ), (state.n, letter)
+
+    def test_cos_remainder_raises(self):
+        # a value that is not a multiple of b cannot come from the system
+        state = CosTrackState(0, 3, (1, 0, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(DegreeBoundError):
+            state.pair("I")
+        assert state.pair("J") == (0, 0)
+
+    def test_cos_degree_fence(self):
+        # cos_track divides b**(2n+2) s I_n by b exactly, which needs
+        # deg I_n <= 2n + 1, and emits every value at b**(2n+1), which needs
+        # deg <= 2n + 1 for all four; measured: I and J stay at 2n
+        states = iter_cos_system()
+        for n in range(N_DEGREE_FENCE + 1):
+            state = next(states)
+            for pair in (state.I, state.J):
+                assert max(pair.u.degree, pair.v.degree) <= 2 * n, (n, "IJ")
+            for pair in (state.K, state.L):
+                assert max(pair.u.degree, pair.v.degree) <= 2 * n + 1, (n, "KL")
