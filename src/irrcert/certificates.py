@@ -20,12 +20,19 @@ is a ratio start * ratio**n / n! updated one step at a time and compared with
 the ``iter_*`` engines serve ``irrcert table``, ``oracle-check`` and the
 identity tests.
 
+One engine table (``_ENGINES``) serves all nine kinds: the five three-term
+engines and the cos system, with the squared-trig kinds delegated to cos in
+one place.  Each engine streams the slots (n, sequence) of a claim in
+canonical order, and one loop, ``refute``, returns the first slot that
+certifies.
+
 Certificates record everything a checker needs: index, sequence, witness,
-bound, and the enclosure transcript.  ``check_certificate`` re-derives every
-number from the claim alone, stepping the same tracks, and finally replays
-the canonical search, so no stored field is trusted.  All searches and
-precision schedules are pure functions of the claim; rerunning a refutation
-is byte-stable.
+bound, and the enclosure transcript.  ``check_certificate`` steps the same
+stream once, up to the certificate's own slot, and re-derives every number
+there from the claim alone; it reruns the search only if an earlier slot
+was a candidate, so no stored field is trusted.  All searches and precision
+schedules are pure functions of the claim; rerunning a refutation is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import Iterator, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .enclosure import (
     EnclosureRequest,
@@ -82,10 +90,6 @@ class ClaimKind(Enum):
 
 # kinds whose claim is about a universal constant, no argument field
 _ARGLESS_KINDS = frozenset({ClaimKind.PI, ClaimKind.PI_SQUARED})
-# kinds whose argument field holds s = r**2 rather than the argument itself
-_SQUARED_ARG_KINDS = frozenset(
-    {ClaimKind.TAN_RATIO, ClaimKind.COS, ClaimKind.SIN_SQ, ClaimKind.COS_SQ, ClaimKind.TAN_SQ}
-)
 _TRANSFORM_KINDS = frozenset({ClaimKind.SIN_SQ, ClaimKind.COS_SQ, ClaimKind.TAN_SQ})
 
 
@@ -111,9 +115,6 @@ class SequenceId(Enum):
     J = "J"
     K = "K"
     L = "L"
-
-
-_SEQUENCE_WEIGHT_POWER = {SequenceId.I: 0, SequenceId.J: 1, SequenceId.K: 2, SequenceId.L: 3}
 
 
 class RefutationMode(Enum):
@@ -232,34 +233,29 @@ class _Decay:
     the one at the last step whose factor was >= 1, kept in ``peak``.
     """
 
-    __slots__ = ("start", "ratio", "num", "den", "n", "peak")
+    __slots__ = ("start", "ratio", "ratio_num", "ratio_den", "num", "den", "n", "peak")
 
     def __init__(self, start: Fraction, ratio: Fraction):
         self.start, self.ratio = start, ratio
+        # plain ints: Fraction.numerator is a property call on every step
+        self.ratio_num, self.ratio_den = ratio.numerator, ratio.denominator
         self.num, self.den = start.numerator, start.denominator
         self.n = 0
         self.peak = (self.num, self.den)
 
     def step(self) -> None:
-        self.n += 1
-        self.num *= self.ratio.numerator
-        self.den *= self.ratio.denominator * self.n
-        if self.n * self.ratio.denominator <= self.ratio.numerator:
+        n = self.n = self.n + 1
+        self.num *= self.ratio_num
+        self.den *= self.ratio_den * n
+        if n * self.ratio_den <= self.ratio_num:
             self.peak = (self.num, self.den)
 
-    def advance(self, n: int) -> None:
-        while self.n < n:
-            self.step()
-
-    def below_one(self, weight: Fraction = Fraction(1)) -> bool:
+    def below_one(self, weight: Fraction) -> bool:
         """Whether bound * weight < 1."""
         return self.num * weight.numerator < self.den * weight.denominator
 
     def value(self, weight: Fraction = Fraction(1)) -> Fraction:
         return Fraction(self.num, self.den) * weight
-
-    def default_cap(self) -> int:
-        return 4 * factorial_dominance_index(self.ratio, 1 / self.start) + 4
 
     def inconclusive(
         self, n_cap: int, weight: Fraction = Fraction(1), peak_weight: Fraction = Fraction(1)
@@ -269,15 +265,44 @@ class _Decay:
         return InconclusiveError(n_cap, self.value(weight), Fraction(*self.peak) * peak_weight)
 
 
-@dataclass(frozen=True)
-class _Engine:
-    """One claim on a three-term engine: the integer the claim forces at
-    each index, the bound on it, and what the certificate records."""
+# --------------------------------------------------------------------------
+# engines.  Each one streams the slots (n, sequence) of one claim in
+# canonical search order, up to a cap, as tuples
+#     (n, sequence, witness, below, attempt):
+# ``witness`` is the integer the claim forces at the slot, ``below`` whether
+# the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
+# returns (bound, enclosures) or None when the slot cannot be certified.  An
+# attempt reads the engine's state at its slot, so it is called before the
+# stream moves on.  A cos slot whose gate is not below 1 has no witness and
+# no attempt (both None).  An engine streams once.
+# --------------------------------------------------------------------------
 
-    witnesses: Iterator[int]
-    bound: _Decay
-    mode: RefutationMode
-    enclosures: Tuple[EnclosureRecord, ...]
+class _ThreeTerm:
+    """One claim on a three-term engine: the integer the claim forces at
+    each index, the bound on it, and the enclosures the certificate records.
+    Its attempts always succeed."""
+
+    def __init__(
+        self, witnesses: Iterator[int], bound: _Decay, enclosures: Tuple[EnclosureRecord, ...]
+    ):
+        self.witnesses, self.bound, self.enclosures = witnesses, bound, enclosures
+
+    def stream(self, n_cap: int) -> Iterator[tuple]:
+        bound, witnesses, accept = self.bound, self.witnesses, self._accept
+        for n in range(n_cap + 1):
+            if n:
+                bound.step()
+            # bound < 1, without below_one's multiplications by 1
+            yield n, None, next(witnesses), bound.num < bound.den, accept
+
+    def _accept(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
+        return self.bound.value(), self.enclosures
+
+    def default_cap(self) -> int:
+        return 4 * factorial_dominance_index(self.bound.ratio, 1 / self.bound.start) + 4
+
+    def inconclusive(self, n_cap: int) -> InconclusiveError:
+        return self.bound.inconclusive(n_cap)
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +312,7 @@ class _Engine:
 # enclosure trap it in (-1, 1).
 # --------------------------------------------------------------------------
 
-def _tan_engine(claim: Claim, width: Fraction) -> _Engine:
+def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     t = claim.arg
     if t == 0:
         raise DegenerateClaimError("tan claim requires a nonzero argument")
@@ -297,10 +322,9 @@ def _tan_engine(claim: Claim, width: Fraction) -> _Engine:
     r = 2 * t
     sin_iv, sin_record = _enclosure_away_from_zero(Func.SIN, r, width)
     p, q, a, b = value.numerator, value.denominator, r.numerator, r.denominator
-    return _Engine(
+    return _ThreeTerm(
         tan_track(a, b, p, q),
         _Decay(q * r / sin_iv.min_abs(), Fraction(a * a, 4 * b)),
-        RefutationMode.NONZERO_SQUEEZE,
         (sin_record,),
     )
 
@@ -311,17 +335,12 @@ def _tan_engine(claim: Claim, width: Fraction) -> _Engine:
 # B_n = b**n (a/b) ((a/b)**2/4)**n / n! — an integer in (0, 1) once B_n < 1.
 # --------------------------------------------------------------------------
 
-def _pi_engine(claim: Claim, width: Fraction) -> _Engine:
+def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     value = claim.value
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi must be positive")
     a, b = value.numerator, value.denominator
-    return _Engine(
-        pi_track(a, b),
-        _Decay(value, Fraction(a * a, 4 * b)),
-        RefutationMode.POSITIVE_SQUEEZE,
-        (),
-    )
+    return _ThreeTerm(pi_track(a, b), _Decay(value, Fraction(a * a, 4 * b)), ())
 
 
 # --------------------------------------------------------------------------
@@ -331,18 +350,13 @@ def _pi_engine(claim: Claim, width: Fraction) -> _Engine:
 # the sqrt over-approximation goes into the transcript.
 # --------------------------------------------------------------------------
 
-def _pi_squared_engine(claim: Claim, width: Fraction) -> _Engine:
+def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     value = claim.value
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi**2 must be positive")
     root_hi, record = _sqrt_record(value)
     a, b = value.numerator, value.denominator
-    return _Engine(
-        pi_squared_track(a, b),
-        _Decay(root_hi, Fraction(a, 4)),
-        RefutationMode.POSITIVE_SQUEEZE,
-        (record,),
-    )
+    return _ThreeTerm(pi_squared_track(a, b), _Decay(root_hi, Fraction(a, 4)), (record,))
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +367,7 @@ def _pi_squared_engine(claim: Claim, width: Fraction) -> _Engine:
 # conditional, exact, and rational.
 # --------------------------------------------------------------------------
 
-def _exp_engine(claim: Claim, width: Fraction) -> _Engine:
+def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     t = claim.arg
     if t == 0:
         raise DegenerateClaimError("exp claim requires a nonzero exponent")
@@ -363,12 +377,7 @@ def _exp_engine(claim: Claim, width: Fraction) -> _Engine:
     if t < 0:
         t, value = -t, 1 / value
     p, q, a, b = value.numerator, value.denominator, t.numerator, t.denominator
-    return _Engine(
-        exp_track(a, b, q, p),
-        _Decay(p * t, Fraction(a * a, 4 * b)),
-        RefutationMode.POSITIVE_SQUEEZE,
-        (),
-    )
+    return _ThreeTerm(exp_track(a, b, q, p), _Decay(p * t, Fraction(a * a, 4 * b)), ())
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +389,7 @@ def _exp_engine(claim: Claim, width: Fraction) -> _Engine:
 # the bound is q sqrt(s) a**n / (s sinc(4s) n!).
 # --------------------------------------------------------------------------
 
-def _tan_ratio_engine(claim: Claim, width: Fraction) -> _Engine:
+def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     s = claim.arg
     if s == 0:
         raise DegenerateClaimError("tan-ratio claim requires a nonzero squared argument")
@@ -389,47 +398,11 @@ def _tan_ratio_engine(claim: Claim, width: Fraction) -> _Engine:
     sinc_iv, sinc_record = _enclosure_away_from_zero(Func.SINC_FROM_S, 4 * s, width)
     root_hi, sqrt_rec = _sqrt_record(s)
     p, q, a, b = claim.value.numerator, claim.value.denominator, s.numerator, s.denominator
-    return _Engine(
+    return _ThreeTerm(
         tan_ratio_track(a, b, p, 2 * q),
         _Decay(q * root_hi / (s * sinc_iv.min_abs()), Fraction(a)),
-        RefutationMode.NONZERO_SQUEEZE,
         (sinc_record, sqrt_rec),
     )
-
-
-_ENGINES = {
-    ClaimKind.TAN: _tan_engine,
-    ClaimKind.TAN_RATIO: _tan_ratio_engine,
-    ClaimKind.PI: _pi_engine,
-    ClaimKind.PI_SQUARED: _pi_squared_engine,
-    ClaimKind.EXP: _exp_engine,
-}
-
-
-def _refute_three_term(claim: Claim, n_cap: Optional[int], width: Fraction) -> Certificate:
-    """First index whose bound is below 1 (and, for the nonzero squeeze,
-    whose witness is nonzero)."""
-    engine = _ENGINES[claim.kind](claim, width)
-    bound = engine.bound
-    if n_cap is None:
-        n_cap = bound.default_cap()
-    positive = engine.mode is RefutationMode.POSITIVE_SQUEEZE
-    for n in range(n_cap + 1):
-        if n:
-            bound.step()
-        witness = next(engine.witnesses)
-        if bound.below_one() and (positive or witness != 0):
-            return Certificate(
-                claim=claim,
-                n=n,
-                sequence=None,
-                mode=engine.mode,
-                witness=witness,
-                bound=bound.value(),
-                enclosures=engine.enclosures,
-                transform=None,
-            )
-    raise bound.inconclusive(n_cap)
 
 
 # --------------------------------------------------------------------------
@@ -465,15 +438,6 @@ def _cos_parts(claim: Claim) -> _CosParts:
     )
 
 
-def _cos_gate(parts: _CosParts) -> _Decay:
-    """Decay gate b**(2n+1) * tail bound, without the weight factor; a
-    sequence is only attempted once gate * weight drops below 1, so the
-    certificate's n sits past the tail crossing."""
-    a, b = parts.s.numerator, parts.s.denominator
-    ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
-    return _Decay(b * parts.hyper, ratio)
-
-
 def _cos_subset_attempt(
     parts: _CosParts, u: int, v: int, start_width: Fraction
 ) -> Optional[Tuple[Fraction, EnclosureRecord]]:
@@ -500,53 +464,78 @@ def _cos_subset_attempt(
     return None
 
 
-def _cos_default_cap(parts: _CosParts, gate: _Decay) -> int:
-    prefactor = parts.q * max(parts.weights[0], 1) ** 4 * gate.start
-    return 4 * factorial_dominance_index(gate.ratio, 1 / prefactor) + 8
-
-
+# sequence k of this order has weight power k
 _COS_SEQUENCE_ORDER = (SequenceId.I, SequenceId.J, SequenceId.K, SequenceId.L)
 
 
-def refute_cos(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
-    width = _resolve_width(target_width)
-    parts = _cos_parts(claim)
-    gate = _cos_gate(parts)
-    if n_cap is None:
-        n_cap = _cos_default_cap(parts, gate)
-    states = cos_track(parts.s.numerator, parts.s.denominator)
-    for n in range(n_cap + 1):
-        if n:
-            gate.step()
-        state = next(states)
-        for seq_id in _COS_SEQUENCE_ORDER:
-            if not gate.below_one(parts.weights[_SEQUENCE_WEIGHT_POWER[seq_id]]):
-                continue
-            u, v = state.pair(seq_id.value)
-            witness = parts.q * u + parts.p * v
-            if witness == 0:
-                continue
-            accepted = _cos_subset_attempt(parts, u, v, width)
-            if accepted is None:
-                continue
-            bound, record = accepted
-            return Certificate(
-                claim=claim,
-                n=n,
-                sequence=seq_id,
-                mode=RefutationMode.NONZERO_SQUEEZE,
-                witness=witness,
-                bound=bound,
-                enclosures=(record,),
-                transform=None,
-            )
-    # the gates at n_cap ended with L's; the largest is at the bound's peak,
-    # with the largest weight
-    raise gate.inconclusive(n_cap, parts.weights[3], max(parts.weights[0], parts.weights[3]))
+class _CosSystem:
+    """One cos claim on the I/J/K/L system: at each index the four sequences
+    in order, each attempted once its decay gate times its weight is below 1,
+    so the certificate's n sits past the tail crossing."""
+
+    def __init__(self, claim: Claim, width: Fraction):
+        self.parts = parts = _cos_parts(claim)
+        self.width = width
+        # the gate is b**(2n+1) * tail bound without the weight factor
+        a, b = parts.s.numerator, parts.s.denominator
+        ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
+        self.gate = _Decay(b * parts.hyper, ratio)
+
+    def stream(self, n_cap: int) -> Iterator[tuple]:
+        parts, gate = self.parts, self.gate
+        least = min(parts.weights)
+        states = cos_track(parts.s.numerator, parts.s.denominator)
+        for n in range(n_cap + 1):
+            if n:
+                gate.step()
+            state = next(states)
+            # no gate is below 1 while the one with the least weight is not
+            open_ = gate.below_one(least)
+            for seq_id, weight in zip(_COS_SEQUENCE_ORDER, parts.weights):
+                if open_ and gate.below_one(weight):
+                    u, v = state.pair(seq_id.value)
+                    yield n, seq_id, parts.q * u + parts.p * v, True, partial(self._attempt, u, v)
+                else:
+                    yield n, seq_id, None, False, None
+
+    def _attempt(self, u: int, v: int) -> Optional[Tuple[Fraction, Tuple[EnclosureRecord, ...]]]:
+        accepted = _cos_subset_attempt(self.parts, u, v, self.width)
+        if accepted is None:
+            return None
+        bound, record = accepted
+        return bound, (record,)
+
+    def default_cap(self) -> int:
+        gate = self.gate
+        prefactor = self.parts.q * max(self.parts.weights[0], 1) ** 4 * gate.start
+        return 4 * factorial_dominance_index(gate.ratio, 1 / prefactor) + 8
+
+    def inconclusive(self, n_cap: int) -> InconclusiveError:
+        # the gates at n_cap ended with L's; the largest is at the bound's
+        # peak, with the largest weight
+        weights = self.parts.weights
+        return self.gate.inconclusive(n_cap, weights[3], max(weights[0], weights[3]))
+
+
+_Engine = Union[_ThreeTerm, _CosSystem]
+
+
+class _Kind(NamedTuple):
+    """What the engine table knows of a claim kind before seeing a claim."""
+
+    mode: RefutationMode
+    sequenced: bool  # certificates name an I/J/K/L sequence
+    engine: Callable[[Claim, Fraction], _Engine]
+
+
+_ENGINES = {
+    ClaimKind.TAN: _Kind(RefutationMode.NONZERO_SQUEEZE, False, _tan_engine),
+    ClaimKind.TAN_RATIO: _Kind(RefutationMode.NONZERO_SQUEEZE, False, _tan_ratio_engine),
+    ClaimKind.PI: _Kind(RefutationMode.POSITIVE_SQUEEZE, False, _pi_engine),
+    ClaimKind.PI_SQUARED: _Kind(RefutationMode.POSITIVE_SQUEEZE, False, _pi_squared_engine),
+    ClaimKind.EXP: _Kind(RefutationMode.POSITIVE_SQUEEZE, False, _exp_engine),
+    ClaimKind.COS: _Kind(RefutationMode.NONZERO_SQUEEZE, True, _CosSystem),
+}
 
 
 # --------------------------------------------------------------------------
@@ -571,25 +560,14 @@ def _delegated_cos_claim(claim: Claim) -> Claim:
     return Claim(ClaimKind.COS, 4 * s, delegated_value)
 
 
-def refute_squared_trig(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
+def _delegate(claim: Claim) -> Tuple[Claim, Optional[TransformRecord]]:
+    """The claim an engine runs on, and the transform record that reduces a
+    squared-trig claim to it (None for the other kinds).  The search and the
+    checker both start here."""
     if claim.kind not in _TRANSFORM_KINDS:
-        raise ValueError(f"not a squared-trig claim: {claim.kind.value}")
+        return claim, None
     delegated = _delegated_cos_claim(claim)
-    inner = refute_cos(delegated, n_cap, target_width)
-    return Certificate(
-        claim=claim,
-        n=inner.n,
-        sequence=inner.sequence,
-        mode=inner.mode,
-        witness=inner.witness,
-        bound=inner.bound,
-        enclosures=inner.enclosures,
-        transform=TransformRecord(identity=claim.kind.value, delegated=delegated),
-    )
+    return delegated, TransformRecord(identity=claim.kind.value, delegated=delegated)
 
 
 def refute(
@@ -597,43 +575,50 @@ def refute(
     n_cap: Optional[int] = None,
     target_width: Optional[Fraction] = None,
 ) -> Certificate:
-    """Dispatch a claim to its engine; deterministic for fixed claim/cap/width."""
-    if claim.kind is ClaimKind.COS:
-        return refute_cos(claim, n_cap, target_width)
-    if claim.kind in _TRANSFORM_KINDS:
-        return refute_squared_trig(claim, n_cap, target_width)
-    return _refute_three_term(claim, n_cap, _resolve_width(target_width))
+    """The canonical certificate: the first slot of the claim's stream that
+    is a candidate and whose attempt succeeds.  A candidate's bound (or
+    gate) is below 1 and, for the nonzero squeeze, its witness is nonzero.
+    Deterministic for fixed claim/cap/width."""
+    engine_claim, transform = _delegate(claim)
+    kind = _ENGINES[engine_claim.kind]
+    engine = kind.engine(engine_claim, _resolve_width(target_width))
+    if n_cap is None:
+        n_cap = engine.default_cap()
+    positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
+    for n, sequence, witness, below, attempt in engine.stream(n_cap):
+        if below and (positive or witness != 0):
+            accepted = attempt()
+            if accepted is not None:
+                bound, enclosures = accepted
+                return Certificate(
+                    claim=claim,
+                    n=n,
+                    sequence=sequence,
+                    mode=kind.mode,
+                    witness=witness,
+                    bound=bound,
+                    enclosures=enclosures,
+                    transform=transform,
+                )
+    raise engine.inconclusive(n_cap)
 
 
 # --------------------------------------------------------------------------
-# checker: re-derives every stored number from the claim, then replays the
-# canonical search.  Nothing in the certificate is trusted.
+# checker: re-derives every stored number from the claim in one pass of the
+# same stream, and reruns the canonical search only when the pass cannot
+# settle canonicity.  Nothing in the certificate is trusted.
 # --------------------------------------------------------------------------
-
-_POSITIVE_KINDS = frozenset({ClaimKind.PI, ClaimKind.PI_SQUARED, ClaimKind.EXP})
-_SEQUENCE_KINDS = frozenset({ClaimKind.COS}) | _TRANSFORM_KINDS
-
-
-def _advance(iterator: Iterator, n: int):
-    for _ in range(n):
-        next(iterator)
-    return next(iterator)
-
 
 def _check_structure(cert: Certificate) -> Optional[str]:
     if cert.n < 0:
         return f"malformed: negative index n={cert.n}"
-    expected_mode = (
-        RefutationMode.POSITIVE_SQUEEZE
-        if cert.claim.kind in _POSITIVE_KINDS
-        else RefutationMode.NONZERO_SQUEEZE
-    )
-    if cert.mode is not expected_mode:
-        return f"mode mismatch: {cert.claim.kind.value} requires {expected_mode.value}"
-    needs_sequence = cert.claim.kind in _SEQUENCE_KINDS
-    if needs_sequence and cert.sequence is None:
+    # a squared-trig certificate is checked on the cos system
+    kind = _ENGINES[ClaimKind.COS if cert.claim.kind in _TRANSFORM_KINDS else cert.claim.kind]
+    if cert.mode is not kind.mode:
+        return f"mode mismatch: {cert.claim.kind.value} requires {kind.mode.value}"
+    if kind.sequenced and cert.sequence is None:
         return "malformed: missing sequence id"
-    if not needs_sequence and cert.sequence is not None:
+    if not kind.sequenced and cert.sequence is not None:
         return "malformed: unexpected sequence id"
     has_transform = cert.transform is not None
     if has_transform != (cert.claim.kind in _TRANSFORM_KINDS):
@@ -661,37 +646,27 @@ def _check_replayed_fields(
     return None
 
 
-def _replay_cos(cert: Certificate, claim: Claim, width: Fraction) -> Optional[str]:
-    parts = _cos_parts(claim)
-    gate = _cos_gate(parts)
-    gate.advance(cert.n)
-    if not gate.below_one(parts.weights[_SEQUENCE_WEIGHT_POWER[cert.sequence]]):
-        return "decay gate not satisfied at certificate index"
-    state = _advance(cos_track(parts.s.numerator, parts.s.denominator), cert.n)
-    u, v = state.pair(cert.sequence.value)
-    attempt = _cos_subset_attempt(parts, u, v, width)
+def _check_pass(
+    cert: Certificate, kind: _Kind, engine: _Engine
+) -> Tuple[Optional[str], bool]:
+    """Step the stream to the certificate's own (n, sequence) and re-derive
+    its fields there.  Returns the first problem found, or None, and whether
+    an earlier slot was a candidate, so that the search might have stopped
+    before this slot."""
+    positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
+    own_n, own_sequence = cert.n, cert.sequence
+    earlier = False
+    for n, sequence, witness, below, attempt in engine.stream(own_n):
+        if n == own_n and sequence is own_sequence:
+            break
+        earlier = earlier or (below and (positive or witness != 0))
     if attempt is None:
-        return "squeeze condition fails"
-    bound, record = attempt
-    return _check_replayed_fields(cert, parts.q * u + parts.p * v, bound, (record,), True)
-
-
-def _replay_at_certificate(cert: Certificate, claim: Claim, width: Fraction) -> Optional[str]:
-    """Recompute witness/bound/enclosures at the certificate's own (n, seq),
-    stepping the same tracks and bounds as the search."""
-    try:
-        if claim.kind is ClaimKind.COS:
-            return _replay_cos(cert, claim, width)
-        if claim.kind not in _ENGINES:
-            return f"unsupported kind {claim.kind.value}"
-        engine = _ENGINES[claim.kind](claim, width)
-    except RefutationError as exc:
-        return f"claim rejected on replay: {exc}"
-    witness = _advance(engine.witnesses, cert.n)
-    engine.bound.advance(cert.n)
-    return _check_replayed_fields(
-        cert, witness, engine.bound.value(), engine.enclosures, engine.bound.below_one()
-    )
+        return "decay gate not satisfied at certificate index", earlier
+    accepted = attempt()
+    if accepted is None:
+        return "squeeze condition fails", earlier
+    bound, enclosures = accepted
+    return _check_replayed_fields(cert, witness, bound, enclosures, below), earlier
 
 
 def check_certificate(
@@ -700,6 +675,11 @@ def check_certificate(
     """VALID iff every stored field reproduces from the claim alone and the
     certificate is the canonical search result for its claim.
 
+    One pass of the claim's stream re-derives the fields at the
+    certificate's own (n, sequence).  If no earlier slot was a candidate,
+    the search would stop at this slot with exactly these fields, so the
+    certificate is canonical; otherwise the search is rerun up to n.
+
     A certificate produced with a non-default target width verifies only
     when the same width is passed here; the replay is claim-driven.
     """
@@ -707,24 +687,27 @@ def check_certificate(
     problem = _check_structure(cert)
     if problem is not None:
         return CheckResult(False, problem)
-    claim = cert.claim
-    if cert.transform is not None:
-        try:
-            delegated = _delegated_cos_claim(claim)
-        except RefutationError as exc:
-            return CheckResult(False, f"claim rejected on replay: {exc}")
-        if cert.transform.identity != claim.kind.value or cert.transform.delegated != delegated:
-            return CheckResult(False, "transform mismatch")
-        claim = delegated
-    problem = _replay_at_certificate(cert, claim, width)
+    try:
+        claim, transform = _delegate(cert.claim)
+    except RefutationError as exc:
+        return CheckResult(False, f"claim rejected on replay: {exc}")
+    if cert.transform != transform:
+        return CheckResult(False, "transform mismatch")
+    kind = _ENGINES[claim.kind]
+    try:
+        engine = kind.engine(claim, width)
+    except RefutationError as exc:
+        return CheckResult(False, f"claim rejected on replay: {exc}")
+    problem, earlier = _check_pass(cert, kind, engine)
     if problem is not None:
         return CheckResult(False, problem)
-    try:
-        canonical = refute(cert.claim, n_cap=cert.n, target_width=width)
-    except RefutationError:
-        return CheckResult(False, "no refutation found within certificate's index")
-    if canonical != cert:
-        return CheckResult(False, "not the canonical certificate for this claim")
+    if earlier:
+        try:
+            canonical = refute(cert.claim, n_cap=cert.n, target_width=width)
+        except RefutationError:
+            return CheckResult(False, "no refutation found within certificate's index")
+        if canonical != cert:
+            return CheckResult(False, "not the canonical certificate for this claim")
     return CheckResult(True, None)
 
 

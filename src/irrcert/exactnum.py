@@ -145,14 +145,6 @@ class IntPoly:
         return IntPoly(self.coeffs[1::2])
 
 
-def poly_eval_rational(p: IntPoly, x: Fraction) -> Fraction:
-    return p.eval_rational(x)
-
-
-def poly_eval_scaled_integer(p: IntPoly, a: int, b: int, n: int) -> int:
-    return p.eval_scaled_integer(a, b, n)
-
-
 @dataclass(frozen=True)
 class RatInterval:
     """Closed interval [lo, hi] with exact rational endpoints."""

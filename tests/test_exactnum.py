@@ -11,8 +11,6 @@ from irrcert.exactnum import (
     RatInterval,
     format_rational,
     parse_rational,
-    poly_eval_rational,
-    poly_eval_scaled_integer,
     sqrt_bounds,
 )
 
@@ -67,13 +65,11 @@ class TestIntPoly:
         # 240 - 24 t**2 at t = 22/7
         p = IntPoly([240, 0, -24])
         assert p.eval_rational(Fraction(22, 7)) == Fraction(144, 49)
-        assert poly_eval_rational(p, Fraction(22, 7)) == Fraction(144, 49)
 
     def test_eval_scaled_integer_example(self):
         # sum c_k a**k b**(n-k) for 12 - x**2, a=1, b=2, n=2
         p = IntPoly([12, 0, -1])
         assert p.eval_scaled_integer(1, 2, 2) == 47
-        assert poly_eval_scaled_integer(p, 1, 2, 2) == 47
 
     def test_eval_scaled_integer_degree_guard(self):
         with pytest.raises(DegreeBoundError):
