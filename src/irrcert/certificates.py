@@ -17,8 +17,7 @@ Searches work on integers at the claim point: the witness at each index
 comes from a scalar recurrence track (``recurrences.*_track``), and each bound
 is a ratio start * ratio**n / n! updated one step at a time and compared with
 1 by integer cross-multiplication.  No polynomial is built; ``IntPoly`` and
-the ``iter_*`` engines serve ``irrcert table``, ``oracle-check`` and the
-identity tests.
+the ``iter_*`` engines serve ``irrcert table`` and the identity tests.
 
 One engine table (``_ENGINES``) serves all nine kinds: the five three-term
 engines and the cos system, with the squared-trig kinds delegated to cos in
@@ -788,7 +787,8 @@ def _claim_from_jsonable(doc) -> Claim:
 def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("certificate must be a JSON object")

@@ -20,7 +20,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Iterator, List, Optional
+from itertools import islice
+from typing import List, Optional
 
 from .certificates import (
     Claim,
@@ -37,7 +38,10 @@ from .certificates import (
 from .enclosure import EnclosureRequest, Func, enclose
 from .exactnum import format_rational, parse_rational
 from .oracle import IntegrandFamily, IntegrandSpec, integrate
-from .recurrences import iter_cos_system, iter_exp_sequence, iter_pi_sequence, iter_tan_sequence
+from .recurrences import (
+    cos_track, exp_track, iter_cos_system, iter_exp_sequence, iter_pi_sequence, iter_tan_sequence,
+    tan_track,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,12 +97,6 @@ def format_decimal(value: Fraction, digits: int) -> str:
     scaled = abs(value) * 10 ** digits
     text = str(scaled.numerator // scaled.denominator).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
-
-
-def _nth(iterator: Iterator, n: int):
-    for _ in range(n):
-        next(iterator)
-    return next(iterator)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -254,21 +252,22 @@ def _scaled_midpoint(fn: Func, arg: Fraction, width: Fraction, scale: Fraction) 
 
 def _symbolic_value(family: IntegrandFamily, n: int, r: Fraction, width: Fraction) -> Fraction:
     """Recurrence-side value of the integral via enclosure midpoints."""
+    a, b = r.numerator, r.denominator
+    if family in (IntegrandFamily.SIN_KERNEL, IntegrandFamily.EXP_KERNEL):
+        track = tan_track if family is IntegrandFamily.SIN_KERNEL else exp_track
+        u_val, v_val = (
+            Fraction(next(islice(track(a, b, x, y), n, None)), b ** n) for x, y in ((1, 0), (0, 1))
+        )
+    else:
+        state = next(islice(cos_track(a * a, b * b), n, None))
+        letter = family.value.split("-")[1]
+        u_val, v_val = (Fraction(w, (b * b) ** (2 * n + 1)) for w in state.pair(letter))
     if family is IntegrandFamily.SIN_KERNEL:
-        pair = _nth(iter_tan_sequence(), n)
-        u_val, v_val = pair.u.eval_rational(r), pair.v.eval_rational(r)
         cos_mid = _scaled_midpoint(Func.COS, r, width, u_val)
         sin_mid = _scaled_midpoint(Func.SIN, r, width, v_val)
         return u_val * (1 - cos_mid) + v_val * sin_mid
-    if family is IntegrandFamily.EXP_KERNEL:
-        pair = _nth(iter_exp_sequence(), n)
-        u_val, v_val = pair.u.eval_rational(r), pair.v.eval_rational(r)
-        return u_val + v_val * _scaled_midpoint(Func.EXP, r, width, v_val)
-    letter = family.value.split("-")[1]
-    pair = _nth(iter_cos_system(), n).by_id(letter)
-    s = r * r
-    u_val, v_val = pair.u.eval_rational(s), pair.v.eval_rational(s)
-    return u_val + v_val * _scaled_midpoint(Func.COS, r, width, v_val)
+    fn = Func.EXP if family is IntegrandFamily.EXP_KERNEL else Func.COS
+    return u_val + v_val * _scaled_midpoint(fn, r, width, v_val)
 
 
 def _cmd_oracle_check(args, parser: _Parser) -> int:

@@ -1,20 +1,23 @@
 """Rigorous rational enclosures of sin, cos, exp and the kernel tail bounds.
 
-Every enclosure is a Taylor partial sum at zero plus an explicit remainder
-radius, all in exact rational arithmetic, so the returned interval provably
-contains the true value and its width never exceeds the requested target.
+Every enclosure is the Taylor series  sum_m y**m / (k m + delta)!  at zero,
+summed exactly up to a term count, plus an explicit remainder radius, so the
+returned interval provably contains the true value and its width never
+exceeds the requested target.  EXP is k = 1, y = x; the *_FROM_S variants
+take s = r**2 and are k = 2, y = -s, delta 0 (cos) or 1 (sinc).  For s < 0
+the same series sums the hyperbolic value (cos r = cosh t when r = i t),
+which is how the hyperbolic claims reuse the circular machinery with no
+square roots.
 
-The *_FROM_S variants take s = r**2 as the argument and evaluate the even
-series in s directly; for s < 0 the same series sums the hyperbolic value
-(cos r = cosh t when r = i t), which is how the hyperbolic claims reuse the
-circular machinery with no square roots.
+Remainder bounds used (the first omitted term times a growth factor):
 
-Remainder bounds used:
+* alternating series (s >= 0): growth 1, with the term count pushed far
+  enough that terms are decreasing from there on;
+* hyperbolic branch (s < 0) and EXP: growth 3**ceil(T), a rational
+  stand-in for e**T >= cosh(T) in the Lagrange form.
 
-* alternating series (s >= 0): first omitted term, with the term count
-  pushed far enough that terms are decreasing from there on;
-* hyperbolic branch (s < 0) and EXP: first omitted term times 3**ceil(T),
-  a rational stand-in for e**T >= cosh(T) in the Lagrange form.
+``_taylor`` keeps the remainder and the partial sum (by Horner, over one
+common denominator) as integer pairs and makes each a Fraction once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, factorial, isqrt
+from math import ceil, factorial, isqrt, prod
 
 from .exactnum import RatInterval, sqrt_bounds
 
@@ -48,68 +51,55 @@ class EnclosureRequest:
             raise ValueError("target width must be positive")
 
 
-def _integer_sqrt_ceil(x: Fraction) -> int:
-    """Least integer >= sqrt(x) for rational x >= 0."""
-    c = ceil(x)
-    root = isqrt(c)
-    if root * root < c:
-        root += 1
-    return root
+def _taylor(
+    y: Fraction, k: int, delta: int, start: int, growth: int, target_width: Fraction
+) -> RatInterval:
+    """Enclose sum_m y**m / (k m + delta)!: the partial sum up to the least
+    N >= start whose radius |y|**(N+1) / (k (N+1) + delta)! * growth is at
+    most target_width / 2, plus and minus that radius."""
+    a, b = y.numerator, y.denominator
+    abs_a = abs(a)
+    cap_num, cap_den = target_width.numerator, 2 * target_width.denominator
+
+    def step(j: int) -> int:  # (k j + delta + 1) ... (k j + delta + k)
+        return prod(range(k * j + delta + 1, k * j + delta + k + 1))
+
+    # radius / (target_width / 2) as the unreduced integer pair num / den
+    n = start
+    num = abs_a ** (n + 1) * growth * cap_den
+    den = b ** (n + 1) * factorial(k * (n + 1) + delta) * cap_num
+    while num > den:
+        n += 1
+        num *= abs_a
+        den *= b * step(n)
+    # Horner: delta! * partial = 1 + (y / step(0)) (1 + (y / step(1)) (1 + ...))
+    p = q = 1
+    for j in range(n - 1, -1, -1):
+        d = b * step(j) * q
+        p, q = d + a * p, d
+    partial = Fraction(p, q * factorial(delta))
+    remainder = Fraction(num // cap_den, den // cap_num)
+    return RatInterval(partial - remainder, partial + remainder)
 
 
 def _even_series(s: Fraction, delta: int, target_width: Fraction) -> RatInterval:
     """Enclose sum_m (-1)**m s**m / (2m + delta)!  (delta 0: cos-type,
     delta 1: sinc-type), valid for either sign of s."""
-    radius_cap = target_width / 2
-    abs_s = abs(s)
-    if s >= 0:
-        # push N far enough that terms decrease from N+1 onward
-        n = 0
-        while abs_s > (2 * n + 3 + delta) * (2 * n + 4 + delta):
-            n += 1
-        remainder = abs_s ** (n + 1) / factorial(2 * (n + 1) + delta)
-        while remainder > radius_cap:
-            n += 1
-            remainder = remainder * abs_s / ((2 * n + 1 + delta) * (2 * n + 2 + delta))
-        hyper_factor = 1
-    else:
-        hyper_factor = 3 ** _integer_sqrt_ceil(abs_s)
-        n = 0
-        remainder = abs_s / factorial(2 + delta) * hyper_factor
-        while remainder > radius_cap:
-            n += 1
-            remainder = remainder * abs_s / ((2 * n + 1 + delta) * (2 * n + 2 + delta))
-        remainder = abs_s ** (n + 1) / factorial(2 * (n + 1) + delta) * hyper_factor
-    partial = Fraction(0)
-    term = Fraction(1, factorial(delta))
-    for m in range(n + 1):
-        partial += term
-        term = term * (-s) / ((2 * m + 1 + delta) * (2 * m + 2 + delta))
-    return RatInterval(partial - remainder, partial + remainder)
-
-
-def _exp_series(x: Fraction, target_width: Fraction) -> RatInterval:
-    radius_cap = target_width / 2
-    abs_x = abs(x)
-    growth = 3 ** ceil(abs_x) if abs_x > 0 else 1
-    n = 0
-    remainder = abs_x * growth  # |x|**(n+1)/(n+1)! * 3**ceil|x| at n = 0
-    while remainder > radius_cap:
-        n += 1
-        remainder = remainder * abs_x / (n + 1)
-    partial = Fraction(0)
-    term = Fraction(1)
-    for k in range(n + 1):
-        partial += term
-        term = term * x / (k + 1)
-    return RatInterval(partial - remainder, partial + remainder)
+    if s < 0:
+        # ceil(sqrt(-s)) = isqrt(c - 1) + 1 with c = ceil(-s) >= 1
+        return _taylor(-s, 2, delta, 0, 3 ** (isqrt(ceil(-s) - 1) + 1), target_width)
+    # start where the terms decrease from the first omitted one onward
+    start = 0
+    while s > (2 * start + 3 + delta) * (2 * start + 4 + delta):
+        start += 1
+    return _taylor(-s, 2, delta, start, 1, target_width)
 
 
 def enclose(req: EnclosureRequest) -> RatInterval:
     """Interval provably containing the requested value, width <= target."""
     fn, x, w = req.function, req.argument, req.target_width
     if fn is Func.EXP:
-        return _exp_series(x, w)
+        return _taylor(x, 1, 0, 0, 3 ** ceil(abs(x)), w)
     if fn is Func.COS_FROM_S:
         return _even_series(x, 0, w)
     if fn is Func.SINC_FROM_S:
@@ -189,9 +179,11 @@ def factorial_dominance_index(base: Fraction, threshold: Fraction) -> int:
     threshold = Fraction(threshold)
     if base <= 0 or threshold <= 0:
         raise ValueError("base and threshold must be positive")
+    # base**n / n! / threshold as the unreduced integer pair num / den
+    num, den = threshold.denominator, threshold.numerator
     n = 0
-    value = Fraction(1)
-    while value >= threshold:
+    while num >= den:
         n += 1
-        value = value * base / n
+        num *= base.numerator
+        den *= base.denominator * n
     return n

@@ -15,12 +15,12 @@ The recurrences come from integrating by parts twice, which is also why the
 same coefficients act on u and v simultaneously.
 
 Two forms are provided.  The ``iter_*`` generators (and their eager list
-wrappers) build the whole ``IntPoly`` coordinates; ``irrcert table``,
-``oracle-check`` and the identity tests use them.  The ``*_track``
-generators run the same recurrences on plain integers at one rational point
-a/b, already multiplied by the power of b that makes every value an
-integer; the certificate search and its checker use these, since a
-certificate needs one integer per index and never a whole polynomial.
+wrappers) build the whole ``IntPoly`` coordinates; ``irrcert table`` and
+the identity tests use them.  The ``*_track`` generators run the same
+recurrences on plain integers at one rational point a/b, already multiplied
+by the power of b that makes every value an integer; the certificate search,
+its checker and ``oracle-check`` use these, since each needs one value per
+index and never a whole polynomial.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Tests for the refutation engines, the checker, and serialization."""
 
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -392,11 +393,35 @@ class TestSerialization:
         with pytest.raises(ValueError):
             certificate_from_json(json.dumps(doc))
 
+    def test_deeply_nested_json_rejected(self):
+        with pytest.raises(ValueError, match="not valid JSON"):
+            certificate_from_json("[" * 100000 + "]" * 100000)
+
     def test_not_json_rejected(self):
         with pytest.raises(ValueError):
             certificate_from_json("{not json")
         with pytest.raises(ValueError):
             certificate_from_json("[1,2,3]")
+
+
+class TestFineWidthPins:
+    """Certificates whose enclosures are thousands of bits finer than the
+    default width, and one through the s < 0 (cosh) series; n and the
+    SHA-256 of the canonical JSON were recorded before the enclosure series
+    was summed over a common integer denominator."""
+
+    @pytest.mark.parametrize("claim,n,digest", [
+        (Claim(ClaimKind.SIN_SQ, F(7, 5), F(1, 2)), 532,
+         "b0f31fa85abbe7ce973f69bbf6c4d5d1e8931026cc8087a5697bc7e23f04175a"),
+        (Claim(ClaimKind.COS, F(-4), F(376, 100)), 87,
+         "8c63d97bdf326388d8026104df3e2c29d7ee542fa3652233e008d37da5f5aeec"),
+    ], ids=["sin_sq_7_5", "cosh_2"])
+    def test_certificate_bytes(self, claim, n, digest):
+        cert = refute(claim)
+        text = to_canonical_json(cert)
+        assert cert.n == n
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert check_certificate(certificate_from_json(text)).ok
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
+import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -174,6 +177,14 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "malformed certificate" in err
 
+    def test_deeply_nested_document_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert "malformed certificate" in err
+        assert "Traceback" not in err
+
     def test_lenient_argument_parsing_stays(self, capsys):
         # the strict grammar is for certificate documents only
         code, out, _ = run(capsys, "refute", "--kind", "pi", "--value", " 44/14")
@@ -273,3 +284,21 @@ class TestOracleCheck:
         )
         assert code == 5
         assert out.splitlines()[1] == "oracle: " + format_decimal(Fraction(1), 40)
+
+    def test_output_recorded_before_integer_tracks(self):
+        # every family at three indices and two limits; the symbolic side
+        # came from whole polynomials when these bytes were recorded
+        digest = hashlib.sha256()
+        for family in ("sin-kernel", "exp-kernel", "cos-I", "cos-J", "cos-K", "cos-L"):
+            for n in (0, 3, 12):
+                for r in ("1", "7/5"):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main([
+                            "oracle-check", "--family", family, "--n", str(n), "--r", r,
+                            "--subdivisions", "64", "--precision-bits", "128",
+                        ])
+                    digest.update(f"{code}\n{out.getvalue()}".encode())
+        assert digest.hexdigest() == (
+            "4ea149f3957817409faf8c7d7890a499f6ee490761ec5af4505d82760a2db8ba"
+        )

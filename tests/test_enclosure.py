@@ -5,9 +5,11 @@ used by the library itself.
 """
 
 from fractions import Fraction
+from math import ceil, factorial, isqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from irrcert.enclosure import (
     EnclosureRequest,
@@ -19,6 +21,7 @@ from irrcert.enclosure import (
     factorial_dominance_index,
     tail_bound,
 )
+from irrcert.exactnum import RatInterval
 
 mpmath.mp.dps = 60
 
@@ -155,3 +158,169 @@ class TestFactorialDominanceIndex:
             if n > 0:
                 prev = ratio * n / base
                 assert prev >= threshold or n == 0
+
+
+# --------------------------------------------------------------------------
+# Reference series: the term-by-term Fraction implementation that enclose()
+# used before it summed over one common integer denominator, kept so that
+# every interval the library returns can be compared with it exactly.
+# --------------------------------------------------------------------------
+
+def _reference_sqrt_ceil(x: Fraction) -> int:
+    c = ceil(x)
+    root = isqrt(c)
+    if root * root < c:
+        root += 1
+    return root
+
+
+def _reference_even_series(s: Fraction, delta: int, target_width: Fraction) -> RatInterval:
+    radius_cap = target_width / 2
+    abs_s = abs(s)
+    if s >= 0:
+        n = 0
+        while abs_s > (2 * n + 3 + delta) * (2 * n + 4 + delta):
+            n += 1
+        remainder = abs_s ** (n + 1) / factorial(2 * (n + 1) + delta)
+        while remainder > radius_cap:
+            n += 1
+            remainder = remainder * abs_s / ((2 * n + 1 + delta) * (2 * n + 2 + delta))
+        hyper_factor = 1
+    else:
+        hyper_factor = 3 ** _reference_sqrt_ceil(abs_s)
+        n = 0
+        remainder = abs_s / factorial(2 + delta) * hyper_factor
+        while remainder > radius_cap:
+            n += 1
+            remainder = remainder * abs_s / ((2 * n + 1 + delta) * (2 * n + 2 + delta))
+        remainder = abs_s ** (n + 1) / factorial(2 * (n + 1) + delta) * hyper_factor
+    partial = Fraction(0)
+    term = Fraction(1, factorial(delta))
+    for m in range(n + 1):
+        partial += term
+        term = term * (-s) / ((2 * m + 1 + delta) * (2 * m + 2 + delta))
+    return RatInterval(partial - remainder, partial + remainder)
+
+
+def _reference_exp_series(x: Fraction, target_width: Fraction) -> RatInterval:
+    radius_cap = target_width / 2
+    abs_x = abs(x)
+    growth = 3 ** ceil(abs_x) if abs_x > 0 else 1
+    n = 0
+    remainder = abs_x * growth
+    while remainder > radius_cap:
+        n += 1
+        remainder = remainder * abs_x / (n + 1)
+    partial = Fraction(0)
+    term = Fraction(1)
+    for k in range(n + 1):
+        partial += term
+        term = term * x / (k + 1)
+    return RatInterval(partial - remainder, partial + remainder)
+
+
+def _reference_enclose(fn: Func, x: Fraction, w: Fraction) -> RatInterval:
+    if fn is Func.EXP:
+        return _reference_exp_series(x, w)
+    if fn is Func.COS_FROM_S:
+        return _reference_even_series(x, 0, w)
+    if fn is Func.SINC_FROM_S:
+        return _reference_even_series(x, 1, w)
+    if fn is Func.COS:
+        return _reference_even_series(x * x, 0, w)
+    if x == 0:
+        return RatInterval.from_point(Fraction(0))
+    return _reference_even_series(x * x, 1, w / abs(x)).scale(x)
+
+
+def _assert_matches_reference(fn: Func, x: Fraction, w: Fraction) -> None:
+    iv = enclose(EnclosureRequest(fn, x, w))
+    ref = _reference_enclose(fn, x, w)
+    assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
+
+
+class TestSeriesAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fn=st.sampled_from(list(Func)),
+        a=st.integers(min_value=-400, max_value=400),
+        b=st.integers(min_value=1, max_value=60),
+        e=st.integers(min_value=1, max_value=4000),
+        p=st.integers(min_value=1, max_value=16),
+        q=st.integers(min_value=1, max_value=16),
+    )
+    def test_random_requests(self, fn, a, b, e, p, q):
+        _assert_matches_reference(fn, Fraction(a, b), Fraction(p, q * 2**e))
+
+    # s = (2n+3+delta)(2n+4+delta): where the s >= 0 branch's start index moves
+    @pytest.mark.parametrize("fn", [Func.COS_FROM_S, Func.SINC_FROM_S])
+    @pytest.mark.parametrize("s", [12, 20, 30, 42, 56, 72])
+    def test_decrease_thresholds(self, fn, s):
+        for shift in (Fraction(0), Fraction(1, 7), Fraction(-1, 7)):
+            for width in (Fraction(1, 2**3), Fraction(1, 2**64), Fraction(3, 2**700)):
+                _assert_matches_reference(fn, s + shift, width)
+                _assert_matches_reference(fn, -(s + shift), width)
+
+    # widths at which the radius is exactly half the width at term count n
+    @pytest.mark.parametrize("fn,x,radius", [
+        (Func.EXP, Fraction(1, 2), lambda n: Fraction(3, 2 ** (n + 1) * factorial(n + 1))),
+        (Func.COS_FROM_S, Fraction(1), lambda n: Fraction(1, factorial(2 * n + 2))),
+        (Func.SINC_FROM_S, Fraction(-1), lambda n: Fraction(3, factorial(2 * n + 3))),
+    ])
+    def test_radius_ties(self, fn, x, radius):
+        for n in range(6):
+            _assert_matches_reference(fn, x, 2 * radius(n))
+
+    @pytest.mark.parametrize("fn", list(Func))
+    def test_zero_argument(self, fn):
+        for width in (Fraction(1, 2**64), Fraction(1, 2**2000)):
+            _assert_matches_reference(fn, Fraction(0), width)
+
+    @pytest.mark.parametrize("fn", list(Func))
+    def test_width_at_least_one(self, fn):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
+            for width in (Fraction(1), Fraction(5, 2), Fraction(10**6)):
+                _assert_matches_reference(fn, x, width)
+
+
+def _reference_dominance_index(base: Fraction, threshold: Fraction) -> int:
+    n = 0
+    value = Fraction(1)
+    while value >= threshold:
+        n += 1
+        value = value * base / n
+    return n
+
+
+class TestDominanceIndexAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        base=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(300), max_denominator=1000),
+        threshold=st.fractions(
+            min_value=Fraction(1, 10**40), max_value=Fraction(50), max_denominator=10**40
+        ),
+    )
+    def test_random_inputs(self, base, threshold):
+        if base <= 0 or threshold <= 0:
+            return
+        assert factorial_dominance_index(base, threshold) == _reference_dominance_index(base, threshold)
+
+    @pytest.mark.parametrize("base,threshold", [
+        (Fraction(1), Fraction(1)),  # ties at n = 0 and n = 1
+        (Fraction(2), Fraction(2)),  # ties at n = 1 and n = 2
+        (Fraction(3), Fraction(9, 2)),  # ties at n = 2 and n = 3
+        (Fraction(1, 2), Fraction(3)),  # below the threshold at once
+        (Fraction(1173, 10), Fraction(1, 10**30)),
+    ])
+    def test_ties_and_edges(self, base, threshold):
+        assert factorial_dominance_index(base, threshold) == _reference_dominance_index(base, threshold)
+
+    @pytest.mark.parametrize("base,threshold", [
+        (Fraction(0), Fraction(1)),
+        (Fraction(-1), Fraction(1)),
+        (Fraction(2), Fraction(0)),
+        (Fraction(2), Fraction(-1, 3)),
+    ])
+    def test_nonpositive_inputs_raise(self, base, threshold):
+        with pytest.raises(ValueError, match="base and threshold must be positive"):
+            factorial_dominance_index(base, threshold)
