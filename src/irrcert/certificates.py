@@ -19,11 +19,11 @@ is a ratio start * ratio**n / n! updated one step at a time and compared with
 1 by integer cross-multiplication.  No polynomial is built; ``IntPoly`` and
 the ``iter_*`` engines serve ``irrcert table`` and the identity tests.
 
-One engine table (``_ENGINES``) serves all nine kinds: the five three-term
-engines and the cos system, with the squared-trig kinds delegated to cos in
-one place.  Each engine streams the slots (n, sequence) of a claim in
-canonical order, and one loop, ``refute``, returns the first slot that
-certifies.
+One kind table (``_KINDS``) gives each of the nine kinds its mode, engine,
+argument (t, s = t**2 or none) and, for the squared-trig kinds, the map
+from the claimed value to cos 2r; ``Claim``, the search, the checker and the
+CLI read it.  Each engine streams the slots (n, sequence) of a claim in
+canonical order, and one loop, ``refute``, returns the first that certifies.
 
 Certificates record everything a checker needs: index, sequence, witness,
 bound, and the enclosure transcript.  ``check_certificate`` steps the same
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import factorial, gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .enclosure import (
@@ -87,11 +87,6 @@ class ClaimKind(Enum):
     TAN_SQ = "tan_sq"
 
 
-# kinds whose claim is about a universal constant, no argument field
-_ARGLESS_KINDS = frozenset({ClaimKind.PI, ClaimKind.PI_SQUARED})
-_TRANSFORM_KINDS = frozenset({ClaimKind.SIN_SQ, ClaimKind.COS_SQ, ClaimKind.TAN_SQ})
-
-
 @dataclass(frozen=True)
 class Claim:
     """One rational claim, e.g. tan(a/b) = p/q; stored in lowest terms."""
@@ -104,9 +99,10 @@ class Claim:
         if self.arg is not None:
             object.__setattr__(self, "arg", Fraction(self.arg))
         object.__setattr__(self, "value", Fraction(self.value))
-        if (self.arg is None) != (self.kind in _ARGLESS_KINDS):
+        argless = _KINDS[self.kind].arg is None
+        if (self.arg is None) != argless:
             raise ValueError(f"claim kind {self.kind.value} "
-                             f"{'takes no' if self.kind in _ARGLESS_KINDS else 'requires an'} argument")
+                             f"{'takes no' if argless else 'requires an'} argument")
 
 
 class SequenceId(Enum):
@@ -129,9 +125,6 @@ class EnclosureRecord:
     arg: Fraction
     lo: Fraction
     hi: Fraction
-
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -227,12 +220,10 @@ class _Decay:
 
     It is kept as an unreduced integer pair num/den and compared with 1 by
     cross-multiplication; a Fraction is built only for a value that leaves
-    the search.  The step factor ratio/n falls with n, so the bound rises
-    while the factor is >= 1 and falls after: its largest value so far is
-    the one at the last step whose factor was >= 1, kept in ``peak``.
+    the search.
     """
 
-    __slots__ = ("start", "ratio", "ratio_num", "ratio_den", "num", "den", "n", "peak")
+    __slots__ = ("start", "ratio", "ratio_num", "ratio_den", "num", "den", "n")
 
     def __init__(self, start: Fraction, ratio: Fraction):
         self.start, self.ratio = start, ratio
@@ -240,14 +231,11 @@ class _Decay:
         self.ratio_num, self.ratio_den = ratio.numerator, ratio.denominator
         self.num, self.den = start.numerator, start.denominator
         self.n = 0
-        self.peak = (self.num, self.den)
 
     def step(self) -> None:
         n = self.n = self.n + 1
         self.num *= self.ratio_num
         self.den *= self.ratio_den * n
-        if n * self.ratio_den <= self.ratio_num:
-            self.peak = (self.num, self.den)
 
     def below_one(self, weight: Fraction) -> bool:
         """Whether bound * weight < 1."""
@@ -259,9 +247,14 @@ class _Decay:
     def inconclusive(
         self, n_cap: int, weight: Fraction = Fraction(1), peak_weight: Fraction = Fraction(1)
     ) -> InconclusiveError:
+        """The diagnostic after stepping to n_cap.  The step factor ratio/n
+        falls with n, so the bound rises while it is >= 1 and falls after:
+        the largest bound up to n_cap is the one at m = min(n_cap, ratio)."""
         if n_cap < 0:
             return InconclusiveError(n_cap, None, None)
-        return InconclusiveError(n_cap, self.value(weight), Fraction(*self.peak) * peak_weight)
+        m = min(n_cap, self.ratio_num // self.ratio_den)
+        peak = self.start * self.ratio ** m / factorial(m)
+        return InconclusiveError(n_cap, self.value(weight), peak * peak_weight)
 
 
 # --------------------------------------------------------------------------
@@ -411,58 +404,6 @@ def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # claim; enclosing cos r from s makes the true value's window exact.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CosParts:
-    p: int
-    q: int
-    s: Fraction
-    # the tail bound of the sequence with weight power k is
-    # weights[k] * (s**2/4)**n / n! for s > 0, and
-    # weights[k] * hyper * (2 s**2)**n / n! for s < 0
-    weights: Tuple[Fraction, Fraction, Fraction, Fraction]
-    hyper: Fraction  # rational upper bound on e**sqrt(-s), or 1
-
-
-def _cos_parts(claim: Claim) -> _CosParts:
-    s = claim.arg
-    if s == 0:
-        raise DegenerateClaimError("cos claim requires a nonzero squared argument")
-    root_hi = sqrt_bounds(abs(s)).hi
-    return _CosParts(
-        p=claim.value.numerator,
-        q=claim.value.denominator,
-        s=s,
-        weights=tuple(root_hi ** (k + 1) for k in range(4)),
-        hyper=exp_upper_bound(root_hi) if s < 0 else Fraction(1),
-    )
-
-
-def _cos_subset_attempt(
-    parts: _CosParts, u: int, v: int, start_width: Fraction
-) -> Optional[Tuple[Fraction, EnclosureRecord]]:
-    """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v are
-    a sequence's coordinates already scaled by b**(2n+1).
-
-    Returns (bound, cos enclosure record) on success, None if the scaled
-    value is provably outside or the width floor is hit while straddling."""
-    s = parts.s
-    qu, qv = parts.q * u, parts.q * v
-    # a width-w cos enclosure becomes a value window of width w |q v|, so
-    # divide the coefficient out up front; the halvings below then only fire
-    # when the true value sits within start_width of the unit boundary
-    width = start_width / max(1, 2 * abs(qv))
-    for _ in range(_MAX_SUBSET_HALVINGS):
-        cos_iv = enclose(EnclosureRequest(Func.COS_FROM_S, s, width))
-        value_iv = cos_iv.scale(qv).translate(qu)
-        if value_iv.is_inside_open_unit():
-            record = EnclosureRecord(Func.COS_FROM_S.value, s, cos_iv.lo, cos_iv.hi)
-            return value_iv.max_abs(), record
-        if value_iv.lo >= 1 or value_iv.hi <= -1:
-            return None
-        width /= 2
-    return None
-
-
 # sequence k of this order has weight power k
 _COS_SEQUENCE_ORDER = (SequenceId.I, SequenceId.J, SequenceId.K, SequenceId.L)
 
@@ -473,68 +414,76 @@ class _CosSystem:
     so the certificate's n sits past the tail crossing."""
 
     def __init__(self, claim: Claim, width: Fraction):
-        self.parts = parts = _cos_parts(claim)
-        self.width = width
+        s = claim.arg
+        if s == 0:
+            raise DegenerateClaimError("cos claim requires a nonzero squared argument")
+        self.p, self.q = claim.value.numerator, claim.value.denominator
+        self.s, self.width = s, width
+        root_hi = sqrt_bounds(abs(s)).hi
+        # the tail bound of the sequence with weight power k is
+        # weights[k] * (s**2/4)**n / n! for s > 0, and
+        # weights[k] * hyper * (2 s**2)**n / n! for s < 0, where hyper is a
+        # rational upper bound on e**sqrt(-s)
+        self.weights = tuple(root_hi ** (k + 1) for k in range(4))
+        hyper = exp_upper_bound(root_hi) if s < 0 else Fraction(1)
         # the gate is b**(2n+1) * tail bound without the weight factor
-        a, b = parts.s.numerator, parts.s.denominator
+        a, b = s.numerator, s.denominator
         ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
-        self.gate = _Decay(b * parts.hyper, ratio)
+        self.gate = _Decay(b * hyper, ratio)
 
     def stream(self, n_cap: int) -> Iterator[tuple]:
-        parts, gate = self.parts, self.gate
-        least = min(parts.weights)
-        states = cos_track(parts.s.numerator, parts.s.denominator)
+        p, q, gate, weights = self.p, self.q, self.gate, self.weights
+        least = min(weights)
+        tracks = cos_track(self.s.numerator, self.s.denominator)
         for n in range(n_cap + 1):
             if n:
                 gate.step()
-            state = next(states)
+            values = next(tracks)
             # no gate is below 1 while the one with the least weight is not
             open_ = gate.below_one(least)
-            for seq_id, weight in zip(_COS_SEQUENCE_ORDER, parts.weights):
-                if open_ and gate.below_one(weight):
-                    u, v = state.pair(seq_id.value)
-                    yield n, seq_id, parts.q * u + parts.p * v, True, partial(self._attempt, u, v)
+            for k, seq_id in enumerate(_COS_SEQUENCE_ORDER):
+                if open_ and gate.below_one(weights[k]):
+                    u, v = values[2 * k], values[2 * k + 1]
+                    yield n, seq_id, q * u + p * v, True, partial(self._attempt, u, v)
                 else:
                     yield n, seq_id, None, False, None
 
     def _attempt(self, u: int, v: int) -> Optional[Tuple[Fraction, Tuple[EnclosureRecord, ...]]]:
-        accepted = _cos_subset_attempt(self.parts, u, v, self.width)
-        if accepted is None:
-            return None
-        bound, record = accepted
-        return bound, (record,)
+        """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v
+        are a sequence's coordinates already scaled by b**(2n+1).
+
+        Returns (bound, (cos enclosure record,)) on success, None if the
+        scaled value is provably outside or the width floor is hit while
+        straddling."""
+        qu, qv = self.q * u, self.q * v
+        # a width-w cos enclosure becomes a value window of width w |q v|, so
+        # divide the coefficient out up front; the halvings below then only fire
+        # when the true value sits within the start width of the unit boundary
+        width = self.width / max(1, 2 * abs(qv))
+        for _ in range(_MAX_SUBSET_HALVINGS):
+            cos_iv = enclose(EnclosureRequest(Func.COS_FROM_S, self.s, width))
+            value_iv = cos_iv.scale(qv).translate(qu)
+            if value_iv.is_inside_open_unit():
+                record = EnclosureRecord(Func.COS_FROM_S.value, self.s, cos_iv.lo, cos_iv.hi)
+                return value_iv.max_abs(), (record,)
+            if value_iv.lo >= 1 or value_iv.hi <= -1:
+                return None
+            width /= 2
+        return None
 
     def default_cap(self) -> int:
         gate = self.gate
-        prefactor = self.parts.q * max(self.parts.weights[0], 1) ** 4 * gate.start
+        prefactor = self.q * max(self.weights[0], 1) ** 4 * gate.start
         return 4 * factorial_dominance_index(gate.ratio, 1 / prefactor) + 8
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
         # peak, with the largest weight
-        weights = self.parts.weights
+        weights = self.weights
         return self.gate.inconclusive(n_cap, weights[3], max(weights[0], weights[3]))
 
 
 _Engine = Union[_ThreeTerm, _CosSystem]
-
-
-class _Kind(NamedTuple):
-    """What the engine table knows of a claim kind before seeing a claim."""
-
-    mode: RefutationMode
-    sequenced: bool  # certificates name an I/J/K/L sequence
-    engine: Callable[[Claim, Fraction], _Engine]
-
-
-_ENGINES = {
-    ClaimKind.TAN: _Kind(RefutationMode.NONZERO_SQUEEZE, False, _tan_engine),
-    ClaimKind.TAN_RATIO: _Kind(RefutationMode.NONZERO_SQUEEZE, False, _tan_ratio_engine),
-    ClaimKind.PI: _Kind(RefutationMode.POSITIVE_SQUEEZE, False, _pi_engine),
-    ClaimKind.PI_SQUARED: _Kind(RefutationMode.POSITIVE_SQUEEZE, False, _pi_squared_engine),
-    ClaimKind.EXP: _Kind(RefutationMode.POSITIVE_SQUEEZE, False, _exp_engine),
-    ClaimKind.COS: _Kind(RefutationMode.NONZERO_SQUEEZE, True, _CosSystem),
-}
 
 
 # --------------------------------------------------------------------------
@@ -543,29 +492,48 @@ _ENGINES = {
 #   cos 2r = 1 - 2 sin**2 r = 2 cos**2 r - 1 = (1 - tan**2 r)/(1 + tan**2 r).
 # --------------------------------------------------------------------------
 
-def _delegated_cos_claim(claim: Claim) -> Claim:
-    s = claim.arg
-    if s == 0:
-        raise DegenerateClaimError("squared-trig claim requires a nonzero squared argument")
-    value = claim.value
-    if claim.kind is ClaimKind.SIN_SQ:
-        delegated_value = 1 - 2 * value
-    elif claim.kind is ClaimKind.COS_SQ:
-        delegated_value = 2 * value - 1
-    else:
-        if value == -1:
-            raise DegenerateClaimError("tan**2 = -1 leaves cos 2r undefined")
-        delegated_value = (1 - value) / (1 + value)
-    return Claim(ClaimKind.COS, 4 * s, delegated_value)
+def _tan_sq_to_cos(value: Fraction) -> Fraction:
+    if value == -1:
+        raise DegenerateClaimError("tan**2 = -1 leaves cos 2r undefined")
+    return (1 - value) / (1 + value)
+
+
+class _Kind(NamedTuple):
+    """What the kind table knows of a claim kind before seeing a claim."""
+
+    mode: RefutationMode
+    sequenced: bool  # certificates name an I/J/K/L sequence
+    engine: Callable[[Claim, Fraction], _Engine]
+    arg: Optional[str]  # the argument: "t", "s" = t**2, or None
+    # squared-trig kinds only: the claimed value mapped to the value of cos 2r
+    to_cos: Optional[Callable[[Fraction], Fraction]] = None
+
+
+_NONZERO, _POSITIVE = RefutationMode.NONZERO_SQUEEZE, RefutationMode.POSITIVE_SQUEEZE
+
+_KINDS = {
+    ClaimKind.TAN: _Kind(_NONZERO, False, _tan_engine, "t"),
+    ClaimKind.TAN_RATIO: _Kind(_NONZERO, False, _tan_ratio_engine, "s"),
+    ClaimKind.PI: _Kind(_POSITIVE, False, _pi_engine, None),
+    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, False, _pi_squared_engine, None),
+    ClaimKind.EXP: _Kind(_POSITIVE, False, _exp_engine, "t"),
+    ClaimKind.COS: _Kind(_NONZERO, True, _CosSystem, "s"),
+    ClaimKind.SIN_SQ: _Kind(_NONZERO, True, _CosSystem, "s", lambda value: 1 - 2 * value),
+    ClaimKind.COS_SQ: _Kind(_NONZERO, True, _CosSystem, "s", lambda value: 2 * value - 1),
+    ClaimKind.TAN_SQ: _Kind(_NONZERO, True, _CosSystem, "s", _tan_sq_to_cos),
+}
 
 
 def _delegate(claim: Claim) -> Tuple[Claim, Optional[TransformRecord]]:
     """The claim an engine runs on, and the transform record that reduces a
     squared-trig claim to it (None for the other kinds).  The search and the
     checker both start here."""
-    if claim.kind not in _TRANSFORM_KINDS:
+    to_cos = _KINDS[claim.kind].to_cos
+    if to_cos is None:
         return claim, None
-    delegated = _delegated_cos_claim(claim)
+    if claim.arg == 0:
+        raise DegenerateClaimError("squared-trig claim requires a nonzero squared argument")
+    delegated = Claim(ClaimKind.COS, 4 * claim.arg, to_cos(claim.value))
     return delegated, TransformRecord(identity=claim.kind.value, delegated=delegated)
 
 
@@ -579,7 +547,7 @@ def refute(
     gate) is below 1 and, for the nonzero squeeze, its witness is nonzero.
     Deterministic for fixed claim/cap/width."""
     engine_claim, transform = _delegate(claim)
-    kind = _ENGINES[engine_claim.kind]
+    kind = _KINDS[claim.kind]
     engine = kind.engine(engine_claim, _resolve_width(target_width))
     if n_cap is None:
         n_cap = engine.default_cap()
@@ -611,16 +579,14 @@ def refute(
 def _check_structure(cert: Certificate) -> Optional[str]:
     if cert.n < 0:
         return f"malformed: negative index n={cert.n}"
-    # a squared-trig certificate is checked on the cos system
-    kind = _ENGINES[ClaimKind.COS if cert.claim.kind in _TRANSFORM_KINDS else cert.claim.kind]
+    kind = _KINDS[cert.claim.kind]
     if cert.mode is not kind.mode:
         return f"mode mismatch: {cert.claim.kind.value} requires {kind.mode.value}"
     if kind.sequenced and cert.sequence is None:
         return "malformed: missing sequence id"
     if not kind.sequenced and cert.sequence is not None:
         return "malformed: unexpected sequence id"
-    has_transform = cert.transform is not None
-    if has_transform != (cert.claim.kind in _TRANSFORM_KINDS):
+    if (cert.transform is None) != (kind.to_cos is None):
         return "malformed: transform record does not match claim kind"
     return None
 
@@ -692,7 +658,7 @@ def check_certificate(
         return CheckResult(False, f"claim rejected on replay: {exc}")
     if cert.transform != transform:
         return CheckResult(False, "transform mismatch")
-    kind = _ENGINES[claim.kind]
+    kind = _KINDS[cert.claim.kind]
     try:
         engine = kind.engine(claim, width)
     except RefutationError as exc:

@@ -24,6 +24,7 @@ from itertools import islice
 from typing import List, Optional
 
 from .certificates import (
+    _KINDS,
     Claim,
     ClaimKind,
     DegenerateClaimError,
@@ -59,29 +60,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-_KIND_BY_NAME = {
-    "tan": ClaimKind.TAN,
-    "tan-ratio": ClaimKind.TAN_RATIO,
-    "pi": ClaimKind.PI,
-    "pi-squared": ClaimKind.PI_SQUARED,
-    "cos": ClaimKind.COS,
-    "exp": ClaimKind.EXP,
-    "sin-sq": ClaimKind.SIN_SQ,
-    "cos-sq": ClaimKind.COS_SQ,
-    "tan-sq": ClaimKind.TAN_SQ,
-}
-# which argument flag each kind takes: plain argument, squared argument, or none
-_PLAIN_ARG_KINDS = frozenset({"tan", "exp"})
-_SQUARED_ARG_KINDS = frozenset({"tan-ratio", "cos", "sin-sq", "cos-sq", "tan-sq"})
-
-_FAMILY_BY_NAME = {
-    "sin-kernel": IntegrandFamily.SIN_KERNEL,
-    "exp-kernel": IntegrandFamily.EXP_KERNEL,
-    "cos-I": IntegrandFamily.COS_I,
-    "cos-J": IntegrandFamily.COS_J,
-    "cos-K": IntegrandFamily.COS_K,
-    "cos-L": IntegrandFamily.COS_L,
-}
+_KIND_BY_NAME = {kind.value.replace("_", "-"): kind for kind in ClaimKind}
 
 
 def _rational(text: str) -> Fraction:
@@ -109,11 +88,14 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _build_claim(args, parser: _Parser) -> Claim:
     kind_name = args.kind
-    if kind_name in _PLAIN_ARG_KINDS:
+    kind = _KIND_BY_NAME[kind_name]
+    # --arg carries t, --arg-squared carries s = t**2
+    takes = _KINDS[kind].arg
+    if takes == "t":
         if args.arg is None or args.arg_squared is not None:
             parser.error(f"kind {kind_name} takes --arg (not --arg-squared)")
         arg = args.arg
-    elif kind_name in _SQUARED_ARG_KINDS:
+    elif takes == "s":
         if args.arg_squared is None or args.arg is not None:
             parser.error(f"kind {kind_name} takes --arg-squared (not --arg)")
         arg = args.arg_squared
@@ -122,7 +104,7 @@ def _build_claim(args, parser: _Parser) -> Claim:
             parser.error(f"kind {kind_name} takes no argument flag")
         arg = None
     try:
-        return Claim(_KIND_BY_NAME[kind_name], arg, args.value)
+        return Claim(kind, arg, args.value)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -178,9 +160,14 @@ def _cmd_refute(args, parser: _Parser) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     if args.format == "json":
-        _emit(to_canonical_json(cert) + "\n", args.output)
+        text = to_canonical_json(cert) + "\n"
     else:
-        _emit(_render_text_certificate(cert), args.output)
+        text = _render_text_certificate(cert)
+    try:
+        _emit(text, args.output)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write certificate: {exc}\n")
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -190,7 +177,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read certificate: {exc}\n")
         return EXIT_USAGE
     try:
@@ -259,9 +246,9 @@ def _symbolic_value(family: IntegrandFamily, n: int, r: Fraction, width: Fractio
             Fraction(next(islice(track(a, b, x, y), n, None)), b ** n) for x, y in ((1, 0), (0, 1))
         )
     else:
-        state = next(islice(cos_track(a * a, b * b), n, None))
-        letter = family.value.split("-")[1]
-        u_val, v_val = (Fraction(w, (b * b) ** (2 * n + 1)) for w in state.pair(letter))
+        values = next(islice(cos_track(a * a, b * b), n, None))
+        i = 2 * "IJKL".index(family.value.split("-")[1])
+        u_val, v_val = (Fraction(w, (b * b) ** (2 * n + 1)) for w in values[i:i + 2])
     if family is IntegrandFamily.SIN_KERNEL:
         cos_mid = _scaled_midpoint(Func.COS, r, width, u_val)
         sin_mid = _scaled_midpoint(Func.SIN, r, width, v_val)
@@ -277,7 +264,7 @@ def _cmd_oracle_check(args, parser: _Parser) -> int:
         parser.error("--n must be nonnegative")
     try:
         spec = IntegrandSpec(
-            family=_FAMILY_BY_NAME[args.family],
+            family=IntegrandFamily(args.family),
             n=args.n,
             r=args.r,
             subdivisions=args.subdivisions,
@@ -328,7 +315,8 @@ def _build_parser() -> _Parser:
     p_table.set_defaults(handler=_cmd_table)
 
     p_oracle = sub.add_parser("oracle-check", help="compare recurrence value against quadrature")
-    p_oracle.add_argument("--family", required=True, choices=sorted(_FAMILY_BY_NAME))
+    families = sorted(family.value for family in IntegrandFamily)
+    p_oracle.add_argument("--family", required=True, choices=families)
     p_oracle.add_argument("--n", required=True, type=int)
     p_oracle.add_argument("--r", required=True, type=_rational, help="upper integration limit a/b > 0")
     p_oracle.add_argument("--subdivisions", type=int, default=1 << 14)

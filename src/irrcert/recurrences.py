@@ -9,7 +9,7 @@ fixed two-element basis with integer-polynomial coordinates:
 * pi engine    — the scalar sequence P_n, polynomial in t, degree <= n
 * exp engine   — basis (1, e**r), polynomials in r, degree <= n
 * cos system   — four coupled sequences I, J, K, L in the basis (1, cos r),
-  polynomials in s = r**2, degree <= 2n + 1
+  polynomials in s = r**2, of degree <= 2n (I, J) and <= 2n + 1 (K, L)
 
 The recurrences come from integrating by parts twice, which is also why the
 same coefficients act on u and v simultaneously.
@@ -18,16 +18,17 @@ Two forms are provided.  The ``iter_*`` generators (and their eager list
 wrappers) build the whole ``IntPoly`` coordinates; ``irrcert table`` and
 the identity tests use them.  The ``*_track`` generators run the same
 recurrences on plain integers at one rational point a/b, already multiplied
-by the power of b that makes every value an integer; the certificate search,
-its checker and ``oracle-check`` use these, since each needs one value per
-index and never a whole polynomial.
+by the power of b that makes every value an integer (b**n for the tan
+family, b**(2n+1) for the cos system); the certificate search, its checker
+and ``oracle-check`` use these, since each needs one value per index and
+never a whole polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, List, Tuple
 
 from .exactnum import DegreeBoundError, IntPoly
 
@@ -245,38 +246,27 @@ def tan_ratio_track(a: int, b: int, x: int, y: int) -> Iterator[int]:
     return _three_term_track(b, 4 * a * b, x, 2 * x * b - y * b)
 
 
-def _drop_spare_power(value: int, b: int) -> int:
+def _exact_quotient(value: int, b: int) -> int:
     quotient, remainder = divmod(value, b)
     if remainder:
-        raise DegreeBoundError("cos-system value is not divisible by its spare power of b")
+        raise DegreeBoundError("cos-system value is not divisible by b")
     return quotient
 
 
-class CosTrackState(NamedTuple):
-    """The cos system at s = a/b and index n, as the eight integers
-    b**(2n+2) times u and v of I, J, K and L: one spare power of b, so that
-    the 2n s I_n term of the L step divides exactly."""
+def cos_track(a: int, b: int) -> Iterator[Tuple[int, int, int, int, int, int, int, int]]:
+    """The cos system at s = a/b, n = 0, 1, ...: the eight integers
+    b**(2n+1) times u and v of I, J, K and L, in that order; same update
+    order as ``iter_cos_system``.
 
-    n: int
-    b: int
-    values: Tuple[int, int, int, int, int, int, int, int]
-
-    def pair(self, letter: str) -> Tuple[int, int]:
-        """(b**(2n+1) u_n(s), b**(2n+1) v_n(s)) of sequence ``letter``."""
-        i = 2 * "IJKL".index(letter)
-        return (_drop_spare_power(self.values[i], self.b),
-                _drop_spare_power(self.values[i + 1], self.b))
-
-
-def cos_track(a: int, b: int) -> Iterator[CosTrackState]:
-    """The cos system at s = a/b, n = 0, 1, ...; same update order as
-    ``iter_cos_system``."""
-    bb, ab, aa = b * b, a * b, a * a
-    iu, iv = bb, -bb
-    ju, jv = bb, -bb
-    ku, kv = ab - 2 * bb, 2 * bb
-    lu, lv = 3 * ab - 6 * bb, 6 * bb
-    yield CosTrackState(0, b, (iu, iv, ju, jv, ku, kv, lu, lv))
+    The L step needs b**(2n) s I_n, which is b**(2n+1) I_n times a, divided
+    by b.  That division is exact: I_n and J_n have degree at most 2n in s,
+    K_n and L_n at most 2n + 1, by induction over the four update lines."""
+    ab, bb, aa = a * b, b * b, a * a
+    iu, iv = b, -b
+    ju, jv = b, -b
+    ku, kv = a - 2 * b, 2 * b
+    lu, lv = 3 * a - 6 * b, 6 * b
+    yield iu, iv, ju, jv, ku, kv, lu, lv
     n = 1
     while True:
         niu = 4 * bb * lu - 2 * ab * ju
@@ -285,8 +275,8 @@ def cos_track(a: int, b: int) -> Iterator[CosTrackState]:
         njv = (4 * n + 1) * niv - 2 * ab * kv
         nku = -(4 * n + 2) * nju + 2 * ab * lu
         nkv = -(4 * n + 2) * njv + 2 * ab * lv
-        nlu = (4 * n + 3) * nku + 2 * n * a * _drop_spare_power(niu, b) - 2 * aa * ku
-        nlv = (4 * n + 3) * nkv + 2 * n * a * _drop_spare_power(niv, b) - 2 * aa * kv
+        nlu = (4 * n + 3) * nku + 2 * n * a * _exact_quotient(niu, b) - 2 * aa * ku
+        nlv = (4 * n + 3) * nkv + 2 * n * a * _exact_quotient(niv, b) - 2 * aa * kv
         iu, iv, ju, jv, ku, kv, lu, lv = niu, niv, nju, njv, nku, nkv, nlu, nlv
-        yield CosTrackState(n, b, (iu, iv, ju, jv, ku, kv, lu, lv))
+        yield iu, iv, ju, jv, ku, kv, lu, lv
         n += 1

@@ -280,31 +280,25 @@ class TestChecker:
         # at (n=1, J) the cos engine's local conditions all hold for the
         # claim cos 1 = 1/2, but the canonical search picks (1, I); a
         # record-replay-only checker would wave this certificate through
-        from irrcert.certificates import (
-            _DEFAULT_TARGET_WIDTH,
-            _cos_parts,
-            _cos_subset_attempt,
-        )
+        from irrcert.certificates import _DEFAULT_TARGET_WIDTH, _CosSystem
 
         claim = Claim(ClaimKind.COS, F(1), F(1, 2))
         cert = refute(claim)
         pair = cos_system(1)[1].J
         witness = 2 * pair.u.eval_scaled_integer(1, 1, 3) + 1 * pair.v.eval_scaled_integer(1, 1, 3)
         assert witness == -10
-        accepted = _cos_subset_attempt(
-            _cos_parts(claim),
+        accepted = _CosSystem(claim, _DEFAULT_TARGET_WIDTH)._attempt(
             pair.u.eval_scaled_integer(1, 1, 3),
             pair.v.eval_scaled_integer(1, 1, 3),
-            _DEFAULT_TARGET_WIDTH,
         )
         assert accepted is not None
-        bound, record = accepted
+        bound, enclosures = accepted
         forged = replace(
             cert,
             sequence=SequenceId.J,
             witness=witness,
             bound=bound,
-            enclosures=(record,),
+            enclosures=enclosures,
         )
         result = check_certificate(forged)
         assert not result.ok

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import irrcert.cli as cli
+from irrcert.certificates import _KINDS, ClaimKind
 from irrcert.cli import format_decimal, main
 
 
@@ -99,6 +101,15 @@ class TestRefute:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["witness"] == "0"
 
+    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "refute", "--kind", "pi", "--value", "22/7",
+            "--output", str(tmp_path / "absent" / "cert.json"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("cannot write") and err.count("\n") == 1
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             capsys,
@@ -117,6 +128,19 @@ class TestRefute:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+class TestKindTable:
+    def test_cli_kinds_follow_the_table(self):
+        refute_parser = next(
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices["refute"]
+        kind_flag = next(a for a in refute_parser._actions if a.dest == "kind")
+        assert sorted(kind_flag.choices) == sorted(
+            kind.value.replace("_", "-") for kind in ClaimKind
+        )
+        assert len(_KINDS) == len(ClaimKind) and set(_KINDS) == set(ClaimKind)
 
 
 class TestVerify:
@@ -195,6 +219,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 1
         assert "cannot read" in err
+
+    def test_non_utf8_file_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("cannot read") and err.count("\n") == 1
 
     def test_target_width_must_match(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from irrcert.exactnum import DegreeBoundError, IntPoly
 from irrcert.recurrences import (
     BasisTag,
-    CosTrackState,
+    _exact_quotient,
     cos_system,
     cos_track,
     descent_identity_check,
@@ -239,24 +239,27 @@ class TestScalarTracks:
     def test_cos_all_eight(self, a, b):
         for state, track in zip(_polys("cos"), cos_track(a, b)):
             exponent = 2 * state.n + 1
-            for letter in "IJKL":
+            for k, letter in enumerate("IJKL"):
                 pair = state.by_id(letter)
-                assert track.pair(letter) == (
+                assert track[2 * k:2 * k + 2] == (
                     pair.u.eval_scaled_integer(a, b, exponent),
                     pair.v.eval_scaled_integer(a, b, exponent),
                 ), (state.n, letter)
 
     def test_cos_remainder_raises(self):
         # a value that is not a multiple of b cannot come from the system
-        state = CosTrackState(0, 3, (1, 0, 0, 0, 0, 0, 0, 0))
         with pytest.raises(DegreeBoundError):
-            state.pair("I")
-        assert state.pair("J") == (0, 0)
+            _exact_quotient(7, 3)
+        assert _exact_quotient(-6, 3) == -2
 
     def test_cos_degree_fence(self):
-        # cos_track divides b**(2n+2) s I_n by b exactly, which needs
-        # deg I_n <= 2n + 1, and emits every value at b**(2n+1), which needs
-        # deg <= 2n + 1 for all four; measured: I and J stay at 2n
+        # cos_track emits every value at b**(2n+1) and divides b**(2n+1) I_n
+        # by b, which needs deg I_n, J_n <= 2n and deg K_n, L_n <= 2n + 1.
+        # Induction over the four update lines, from I_0 = J_0 = (1, -1),
+        # K_0 = (s - 2, 2), L_0 = (3s - 6, 6): I_n = 4 L - 2s J has degree
+        # <= 2n - 1, J_n = (4n+1) I_n - 2s K at most 2n, K_n = -(4n+2) J_n
+        # + 2s L at most 2n, and L_n = (4n+3) K_n + 2ns I_n - 2s**2 K at
+        # most 2n + 1 (L, J, K on the right at n - 1).
         states = iter_cos_system()
         for n in range(N_DEGREE_FENCE + 1):
             state = next(states)
