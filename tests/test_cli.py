@@ -270,6 +270,19 @@ class TestTable:
         assert doc["rows"][0]["K"] == {"u": [-2, 1], "v": [2]}
         assert doc["rows"][0]["L"] == {"u": [-6, 3], "v": [6]}
 
+    @pytest.mark.parametrize("engine,digest", [
+        ("tan", "30952fc33f5fe2a9b396d4a2f10a62fb98071c68106cc300a99c8d23df0c0698"),
+        ("pi", "faa4d1d0c57618ff7c5835aaa047889a3d8df90e309c5dae4197512a7e82ba85"),
+        ("exp", "a1114f93ab5dd394037edebea9ec0e242fcfbf4b658efbb79be031ddb80b9229"),
+        ("cos", "e1967dee2894eacf46a114e2e54920a43625d4dbe1eb7975513e26c94f9a4b9c"),
+    ])
+    def test_table_bytes_are_pinned(self, capsys, engine, digest):
+        # SHA-256 of the whole stdout, recorded from the polynomial engines
+        # that stepped IntPoly coordinates directly
+        code, out, _ = run(capsys, "table", "--engine", engine, "--n", "30")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_negative_n_exits_1(self, capsys):
         code, _, _ = run(capsys, "table", "--engine", "pi", "--n", "-1")
         assert code == 1
