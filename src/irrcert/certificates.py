@@ -16,8 +16,8 @@ rigorously bounded sub-unit window:
 Searches work on integers at the claim point: the witness at each index
 comes from a scalar recurrence track (``recurrences.*_track``), and each bound
 is a ratio start * ratio**n / n! updated one step at a time and compared with
-1 by integer cross-multiplication.  No polynomial is built; ``IntPoly`` and
-the ``iter_*`` engines serve ``irrcert table`` and the identity tests.
+1 by integer cross-multiplication.  No polynomial is built; the same tracks
+on ``IntPoly`` serve ``irrcert table`` and the identity tests.
 
 One kind table (``_KINDS``) gives each of the nine kinds its mode, engine,
 argument (t, s = t**2 or none) and, for the squared-trig kinds, the map
@@ -28,10 +28,10 @@ canonical order, and one loop, ``refute``, returns the first that certifies.
 Certificates record everything a checker needs: index, sequence, witness,
 bound, and the enclosure transcript.  ``check_certificate`` steps the same
 stream once, up to the certificate's own slot, and re-derives every number
-there from the claim alone; it reruns the search only if an earlier slot
-was a candidate, so no stored field is trusted.  All searches and precision
-schedules are pure functions of the claim; rerunning a refutation is
-byte-stable.
+there from the claim alone, so no stored field is trusted; it then tries the
+earlier candidates' attempts, any of which would have ended the search.  All
+searches and precision schedules are pure functions of the claim; rerunning
+a refutation is byte-stable.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import chain, islice
 from math import factorial, gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -54,14 +55,7 @@ from .enclosure import (
     factorial_dominance_index,
 )
 from .exactnum import RatInterval, format_rational, sqrt_bounds
-from .recurrences import (
-    cos_track,
-    exp_track,
-    pi_squared_track,
-    pi_track,
-    tan_ratio_track,
-    tan_track,
-)
+from .recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
 # witness integers can run to thousands of digits; lift the int/str guard
 if hasattr(sys, "set_int_max_str_digits"):
@@ -73,6 +67,7 @@ SCHEMA_VERSION = 1
 _DEFAULT_TARGET_WIDTH = Fraction(1, 1 << 64)
 _MAX_ZERO_EXCLUSION_HALVINGS = 64
 _MAX_SUBSET_HALVINGS = 512
+_MAX_KEPT_ATTEMPTS = 64
 
 
 class ClaimKind(Enum):
@@ -263,10 +258,11 @@ class _Decay:
 #     (n, sequence, witness, below, attempt):
 # ``witness`` is the integer the claim forces at the slot, ``below`` whether
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
-# returns (bound, enclosures) or None when the slot cannot be certified.  An
-# attempt reads the engine's state at its slot, so it is called before the
-# stream moves on.  A cos slot whose gate is not below 1 has no witness and
-# no attempt (both None).  An engine streams once.
+# returns (bound, enclosures) or None when the slot cannot be certified.  The
+# attempt of a slot that is below 1 holds that slot's numbers and stays valid
+# after the stream moves on, so the checker can keep it; any other attempt
+# is valid only at its slot.  A cos slot whose gate is not below 1 has no
+# witness and no attempt (both None).  An engine streams once.
 # --------------------------------------------------------------------------
 
 class _ThreeTerm:
@@ -280,15 +276,19 @@ class _ThreeTerm:
         self.witnesses, self.bound, self.enclosures = witnesses, bound, enclosures
 
     def stream(self, n_cap: int) -> Iterator[tuple]:
-        bound, witnesses, accept = self.bound, self.witnesses, self._accept
+        bound, witnesses, accept, live = self.bound, self.witnesses, self._accept, self._accept_live
         for n in range(n_cap + 1):
             if n:
                 bound.step()
-            # bound < 1, without below_one's multiplications by 1
-            yield n, None, next(witnesses), bound.num < bound.den, accept
+            num, den = bound.num, bound.den
+            below = num < den  # bound < 1, without below_one's multiplications by 1
+            yield n, None, next(witnesses), below, partial(accept, num, den) if below else live
 
-    def _accept(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
-        return self.bound.value(), self.enclosures
+    def _accept(self, num: int, den: int) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
+        return Fraction(num, den), self.enclosures
+
+    def _accept_live(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
+        return self._accept(self.bound.num, self.bound.den)
 
     def default_cap(self) -> int:
         return 4 * factorial_dominance_index(self.bound.ratio, 1 / self.bound.start) + 4
@@ -332,7 +332,7 @@ def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi must be positive")
     a, b = value.numerator, value.denominator
-    return _ThreeTerm(pi_track(a, b), _Decay(value, Fraction(a * a, 4 * b)), ())
+    return _ThreeTerm(tan_track(a, b, 2, 0), _Decay(value, Fraction(a * a, 4 * b)), ())
 
 
 # --------------------------------------------------------------------------
@@ -572,8 +572,8 @@ def refute(
 
 # --------------------------------------------------------------------------
 # checker: re-derives every stored number from the claim in one pass of the
-# same stream, and reruns the canonical search only when the pass cannot
-# settle canonicity.  Nothing in the certificate is trusted.
+# same stream, and settles canonicity from the attempts of the earlier
+# candidates.  Nothing in the certificate is trusted.
 # --------------------------------------------------------------------------
 
 def _check_structure(cert: Certificate) -> Optional[str]:
@@ -591,47 +591,58 @@ def _check_structure(cert: Certificate) -> Optional[str]:
     return None
 
 
-def _check_replayed_fields(
-    cert: Certificate,
-    witness: int,
-    bound: Fraction,
-    enclosures: Tuple[EnclosureRecord, ...],
-    squeeze_ok: bool,
+def _check_pass(
+    cert: Certificate, kind: _Kind, engine: _Engine, new_engine: Callable[[], _Engine]
 ) -> Optional[str]:
+    """Step the stream to the certificate's own (n, sequence) and re-derive
+    its fields there.  If they all reproduce, try the attempts of the
+    earlier candidates in stream order: the search would have stopped at
+    any that succeeds.  Returns the first problem found, or None."""
+    positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
+    own_n, own_sequence = cert.n, cert.sequence
+    # an attempt holds its slot's integers, so only the first
+    # _MAX_KEPT_ATTEMPTS are kept and memory stays linear in n
+    kept, more = [], False
+    for n, sequence, witness, below, attempt in engine.stream(own_n):
+        if n == own_n and sequence is own_sequence:
+            break
+        if below and (positive or witness != 0):
+            if len(kept) < _MAX_KEPT_ATTEMPTS:
+                kept.append(attempt)
+            else:
+                more = True
+    if attempt is None:
+        return "decay gate not satisfied at certificate index"
+    accepted = attempt()
+    if accepted is None:
+        return "squeeze condition fails"
+    bound, enclosures = accepted
     if cert.witness != witness:
         return "witness mismatch"
-    if cert.mode is RefutationMode.NONZERO_SQUEEZE and cert.witness == 0:
+    if not positive and witness == 0:
         return "witness is zero"
     if cert.enclosures != enclosures:
         return "enclosure transcript mismatch"
     if cert.bound != bound:
         return "bound mismatch"
-    if not squeeze_ok:
+    if not below:
         return "squeeze condition fails"
+    if more:
+        # the candidates past the kept ones, reached by a second pass
+        rest = _earlier_attempts(cert, positive, new_engine())
+        kept = chain(kept, islice(rest, _MAX_KEPT_ATTEMPTS, None))
+    if any(tried() is not None for tried in kept):
+        return "not the canonical certificate for this claim"
     return None
 
 
-def _check_pass(
-    cert: Certificate, kind: _Kind, engine: _Engine
-) -> Tuple[Optional[str], bool]:
-    """Step the stream to the certificate's own (n, sequence) and re-derive
-    its fields there.  Returns the first problem found, or None, and whether
-    an earlier slot was a candidate, so that the search might have stopped
-    before this slot."""
-    positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
-    own_n, own_sequence = cert.n, cert.sequence
-    earlier = False
-    for n, sequence, witness, below, attempt in engine.stream(own_n):
-        if n == own_n and sequence is own_sequence:
-            break
-        earlier = earlier or (below and (positive or witness != 0))
-    if attempt is None:
-        return "decay gate not satisfied at certificate index", earlier
-    accepted = attempt()
-    if accepted is None:
-        return "squeeze condition fails", earlier
-    bound, enclosures = accepted
-    return _check_replayed_fields(cert, witness, bound, enclosures, below), earlier
+def _earlier_attempts(cert: Certificate, positive: bool, engine: _Engine) -> Iterator[Callable]:
+    """The attempts of the candidate slots before the certificate's own."""
+    for n, sequence, witness, below, attempt in engine.stream(cert.n):
+        if n == cert.n and sequence is cert.sequence:
+            return
+        if below and (positive or witness != 0):
+            yield attempt
 
 
 def check_certificate(
@@ -641,9 +652,11 @@ def check_certificate(
     certificate is the canonical search result for its claim.
 
     One pass of the claim's stream re-derives the fields at the
-    certificate's own (n, sequence).  If no earlier slot was a candidate,
-    the search would stop at this slot with exactly these fields, so the
-    certificate is canonical; otherwise the search is rerun up to n.
+    certificate's own (n, sequence) and keeps the attempts of the earlier
+    candidates (past the first ``_MAX_KEPT_ATTEMPTS``, a second pass reaches
+    the rest).  The search stops at the first candidate whose attempt
+    succeeds, so once the own fields reproduce, the certificate is canonical
+    exactly when every earlier attempt fails; the search is never rerun.
 
     A certificate produced with a non-default target width verifies only
     when the same width is passed here; the replay is claim-driven.
@@ -663,17 +676,8 @@ def check_certificate(
         engine = kind.engine(claim, width)
     except RefutationError as exc:
         return CheckResult(False, f"claim rejected on replay: {exc}")
-    problem, earlier = _check_pass(cert, kind, engine)
-    if problem is not None:
-        return CheckResult(False, problem)
-    if earlier:
-        try:
-            canonical = refute(cert.claim, n_cap=cert.n, target_width=width)
-        except RefutationError:
-            return CheckResult(False, "no refutation found within certificate's index")
-        if canonical != cert:
-            return CheckResult(False, "not the canonical certificate for this claim")
-    return CheckResult(True, None)
+    problem = _check_pass(cert, kind, engine, partial(kind.engine, claim, width))
+    return CheckResult(problem is None, problem)
 
 
 # --------------------------------------------------------------------------

@@ -40,8 +40,7 @@ from .enclosure import EnclosureRequest, Func, enclose
 from .exactnum import format_rational, parse_rational
 from .oracle import IntegrandFamily, IntegrandSpec, integrate
 from .recurrences import (
-    cos_track, exp_track, iter_cos_system, iter_exp_sequence, iter_pi_sequence, iter_tan_sequence,
-    tan_track,
+    cos_system, cos_track, exp_sequence, exp_track, pi_sequence, tan_sequence, tan_track,
 )
 
 EXIT_OK = 0
@@ -200,31 +199,15 @@ def _pair_row(pair) -> dict:
 def _cmd_table(args, parser: _Parser) -> int:
     if args.n < 0:
         parser.error("--n must be nonnegative")
-    rows: List[dict] = []
     if args.engine == "pi":
-        polys = iter_pi_sequence()
-        for n in range(args.n + 1):
-            rows.append({"n": n, "p": list(next(polys).coeffs)})
-        doc = {"engine": "pi", "variable": "r", "rows": rows}
+        rows = [{"n": n, "p": list(p.coeffs)} for n, p in enumerate(pi_sequence(args.n))]
     elif args.engine in ("tan", "exp"):
-        pairs = iter_tan_sequence() if args.engine == "tan" else iter_exp_sequence()
-        for n in range(args.n + 1):
-            rows.append({"n": n, **_pair_row(next(pairs))})
-        doc = {"engine": args.engine, "variable": "r", "rows": rows}
+        pairs = (tan_sequence if args.engine == "tan" else exp_sequence)(args.n)
+        rows = [{"n": pair.n, **_pair_row(pair)} for pair in pairs]
     else:
-        states = iter_cos_system()
-        for n in range(args.n + 1):
-            state = next(states)
-            rows.append(
-                {
-                    "n": n,
-                    "I": _pair_row(state.I),
-                    "J": _pair_row(state.J),
-                    "K": _pair_row(state.K),
-                    "L": _pair_row(state.L),
-                }
-            )
-        doc = {"engine": "cos", "variable": "s", "rows": rows}
+        rows = [{"n": state.n, **{letter: _pair_row(state.by_id(letter)) for letter in "IJKL"}}
+                for state in cos_system(args.n)]
+    doc = {"engine": args.engine, "variable": "s" if args.engine == "cos" else "r", "rows": rows}
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK
 

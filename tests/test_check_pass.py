@@ -13,7 +13,9 @@ import pytest
 from test_acceptance import corpus_certificates, full_corpus, mutations
 
 from irrcert import certificates
-from irrcert.certificates import Claim, ClaimKind, SequenceId, check_certificate, refute
+from irrcert.certificates import (
+    Claim, ClaimKind, InconclusiveError, SequenceId, check_certificate, refute,
+)
 
 
 def F(*args):
@@ -59,7 +61,7 @@ THREE_TERM_CLAIMS = [
     ("tan_track", Claim(ClaimKind.TAN, F(1), F(1557, 1000))),
     ("tan_track", Claim(ClaimKind.TAN, F(-3, 2), F(14))),
     ("tan_ratio_track", Claim(ClaimKind.TAN_RATIO, F(1), F(14, 9))),
-    ("pi_track", Claim(ClaimKind.PI, None, F(22, 7))),
+    ("tan_track", Claim(ClaimKind.PI, None, F(22, 7))),
     ("pi_squared_track", Claim(ClaimKind.PI_SQUARED, None, F(227, 23))),
     ("exp_track", Claim(ClaimKind.EXP, F(2), F(7))),
     ("exp_track", Claim(ClaimKind.EXP, F(1), F(19, 7))),
@@ -86,9 +88,10 @@ def test_three_term_check_is_one_pass(monkeypatch, track, claim):
     assert len(draws) == cert.n + 1
 
 
-def test_forged_cos_sequence_reaches_the_search(monkeypatch):
+def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):
     # at (n=1, J) every local condition holds for cos 1 = 1/2, but (1, I)
-    # comes first in the stream and succeeds, so only the rerun can reject
+    # comes first in the stream and succeeds, so only the earlier attempt,
+    # kept by the check pass, can reject it
     claim = Claim(ClaimKind.COS, F(1), F(1, 2))
     cert = refute(claim)
     engine = certificates._CosSystem(claim, certificates._DEFAULT_TARGET_WIDTH)
@@ -108,4 +111,49 @@ def test_forged_cos_sequence_reaches_the_search(monkeypatch):
     monkeypatch.setattr(certificates, "refute", counted_search)
     result = check_certificate(forged)
     assert (result.ok, result.reason) == (False, "not the canonical certificate for this claim")
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+# cos-family claims whose streams up to the canonical n hold earlier slots
+# that succeed, earlier slots whose attempts fail, and later slots at the
+# canonical n
+COS_FAMILY_CLAIMS = [
+    Claim(ClaimKind.COS, F(1), F(1, 2)),
+    Claim(ClaimKind.COS, F(-1), F(3, 2)),
+    Claim(ClaimKind.COS, F(2), F(-416, 1000)),
+    Claim(ClaimKind.COS, F(1), F(5403, 10000)),
+    Claim(ClaimKind.SIN_SQ, F(1), F(708, 1000)),
+    Claim(ClaimKind.COS_SQ, F(1, 4), F(77, 100)),
+    Claim(ClaimKind.TAN_SQ, F(3), F(2, 37)),
+]
+
+
+def _search(claim, n_cap):
+    try:
+        return refute(claim, n_cap=n_cap)
+    except InconclusiveError:
+        return None
+
+
+@pytest.mark.parametrize("kept", [None, 0, 2], ids=lambda k: f"kept={k}")
+@pytest.mark.parametrize("claim", COS_FAMILY_CLAIMS, ids=lambda c: f"{c.kind.value}-{c.value}")
+def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
+    # the check pass settles canonicity from the attempts it kept (and a
+    # second pass past them); the search it replaces would accept a forged
+    # certificate exactly when rerunning refute up to its n returns it
+    if kept is not None:
+        monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", kept)
+    cert = refute(claim)
+    engine_claim, _ = certificates._delegate(claim)
+    engine = certificates._CosSystem(engine_claim, certificates._DEFAULT_TARGET_WIDTH)
+    forged_count = 0
+    for n, sequence, witness, _below, attempt in engine.stream(cert.n):
+        if attempt is None:
+            continue
+        accepted = attempt()
+        bound, enclosures = accepted if accepted is not None else (cert.bound, cert.enclosures)
+        forged = replace(cert, n=n, sequence=sequence, witness=witness, bound=bound,
+                         enclosures=enclosures)
+        assert check_certificate(forged).ok == (_search(claim, n) == forged), (n, sequence)
+        forged_count += 1
+    assert forged_count >= 2

@@ -6,20 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irrcert.exactnum import DegreeBoundError, IntPoly
+from irrcert.exactnum import IntPoly
 from irrcert.recurrences import (
     BasisTag,
-    _exact_quotient,
     cos_system,
     cos_track,
     descent_identity_check,
     exp_sequence,
     exp_track,
-    iter_cos_system,
-    iter_tan_sequence,
     pi_sequence,
     pi_squared_track,
-    pi_track,
     tan_ratio_track,
     tan_sequence,
     tan_track,
@@ -51,11 +47,6 @@ class TestTanEngine:
             assert pair.v.degree <= pair.n
             assert not any(pair.u.coeffs[1::2]), "u_n must be even"
             assert not any(pair.v.coeffs[0::2]), "v_n must be odd"
-
-    def test_iterator_matches_eager(self):
-        it = iter_tan_sequence()
-        for pair in tan_sequence(8):
-            assert next(it) == pair
 
 
 class TestPiEngine:
@@ -164,16 +155,11 @@ class TestCosSystem:
         with pytest.raises(KeyError):
             state.by_id("X")
 
-    def test_iterator_matches_eager(self):
-        it = iter_cos_system()
-        for state in cos_system(6):
-            assert next(it) == state
-
 
 # --------------------------------------------------------------------------
-# scalar tracks against the polynomial engines they replace in the search:
-# each track value must equal the scaled integer evaluation of its
-# polynomials at the same point, for every n <= N_TRACK
+# the int tracks at a/b against the same tracks on IntPoly at the generic
+# point, evaluated at a/b: each value must equal the scaled integer
+# evaluation of its polynomials, for every n <= N_TRACK
 # --------------------------------------------------------------------------
 
 N_TRACK = 50
@@ -209,7 +195,7 @@ class TestScalarTracks:
     @given(a=positive_num, b=den)
     def test_pi(self, a, b):
         expected = [poly.eval_scaled_integer(a, b, n) for n, poly in enumerate(_polys("pi"))]
-        assert _take(pi_track(a, b)) == expected
+        assert _take(tan_track(a, b, 2, 0)) == expected
 
     @track_settings
     @given(a=positive_num, b=den)
@@ -246,23 +232,16 @@ class TestScalarTracks:
                     pair.v.eval_scaled_integer(a, b, exponent),
                 ), (state.n, letter)
 
-    def test_cos_remainder_raises(self):
-        # a value that is not a multiple of b cannot come from the system
-        with pytest.raises(DegreeBoundError):
-            _exact_quotient(7, 3)
-        assert _exact_quotient(-6, 3) == -2
-
     def test_cos_degree_fence(self):
-        # cos_track emits every value at b**(2n+1) and divides b**(2n+1) I_n
-        # by b, which needs deg I_n, J_n <= 2n and deg K_n, L_n <= 2n + 1.
+        # cos_track emits every value at b**(2n+1); test_cos_all_eight reads
+        # the polynomials at that scale through eval_scaled_integer, which
+        # refuses a degree above it, so every degree must be <= 2n + 1.
         # Induction over the four update lines, from I_0 = J_0 = (1, -1),
         # K_0 = (s - 2, 2), L_0 = (3s - 6, 6): I_n = 4 L - 2s J has degree
         # <= 2n - 1, J_n = (4n+1) I_n - 2s K at most 2n, K_n = -(4n+2) J_n
         # + 2s L at most 2n, and L_n = (4n+3) K_n + 2ns I_n - 2s**2 K at
         # most 2n + 1 (L, J, K on the right at n - 1).
-        states = iter_cos_system()
-        for n in range(N_DEGREE_FENCE + 1):
-            state = next(states)
+        for n, state in enumerate(cos_system(N_DEGREE_FENCE)):
             for pair in (state.I, state.J):
                 assert max(pair.u.degree, pair.v.degree) <= 2 * n, (n, "IJ")
             for pair in (state.K, state.L):
