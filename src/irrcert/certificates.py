@@ -11,7 +11,8 @@ rigorously bounded sub-unit window:
   the scaled combination equals the witness integer under the claim, while
   an unconditional enclosure traps the true value inside (-1, 1); a nonzero
   witness is then impossible.  The consecutive-zero exclusion (two adjacent
-  zero witnesses force p = q = 0) guarantees the search terminates.
+  zero witnesses force p = q = 0) and, for the cos system, the descent
+  identity guarantee that the search terminates, so it needs no cap.
 
 Searches work on integers at the claim point: the witness at each index
 comes from a scalar recurrence track (``recurrences.*_track``), and each bound
@@ -43,17 +44,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, count, islice
 from math import factorial, gcd
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .enclosure import (
-    EnclosureRequest,
-    Func,
-    enclose,
-    exp_upper_bound,
-    factorial_dominance_index,
-)
+from .enclosure import EnclosureRequest, Func, enclose, exp_upper_bound
 from .exactnum import RatInterval, format_rational, sqrt_bounds
 from .recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
@@ -165,7 +160,7 @@ class SinZeroUnresolvedError(RefutationError):
 
 
 class InconclusiveError(RefutationError):
-    """n_cap was reached without an accepted (n, witness) pair."""
+    """An explicit n_cap was reached without an accepted (n, witness) pair."""
 
     def __init__(
         self,
@@ -252,9 +247,14 @@ class _Decay:
         return InconclusiveError(n_cap, self.value(weight), peak * peak_weight)
 
 
+def _indices(n_cap: Optional[int]) -> Iterable[int]:
+    """The indices a stream visits: 0 to n_cap, or without end for None."""
+    return count() if n_cap is None else range(n_cap + 1)
+
+
 # --------------------------------------------------------------------------
 # engines.  Each one streams the slots (n, sequence) of one claim in
-# canonical search order, up to a cap, as tuples
+# canonical search order, up to n_cap (without end when it is None), as tuples
 #     (n, sequence, witness, below, attempt):
 # ``witness`` is the integer the claim forces at the slot, ``below`` whether
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
@@ -275,9 +275,9 @@ class _ThreeTerm:
     ):
         self.witnesses, self.bound, self.enclosures = witnesses, bound, enclosures
 
-    def stream(self, n_cap: int) -> Iterator[tuple]:
+    def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
         bound, witnesses, accept, live = self.bound, self.witnesses, self._accept, self._accept_live
-        for n in range(n_cap + 1):
+        for n in _indices(n_cap):
             if n:
                 bound.step()
             num, den = bound.num, bound.den
@@ -289,9 +289,6 @@ class _ThreeTerm:
 
     def _accept_live(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
         return self._accept(self.bound.num, self.bound.den)
-
-    def default_cap(self) -> int:
-        return 4 * factorial_dominance_index(self.bound.ratio, 1 / self.bound.start) + 4
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         return self.bound.inconclusive(n_cap)
@@ -431,11 +428,11 @@ class _CosSystem:
         ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
         self.gate = _Decay(b * hyper, ratio)
 
-    def stream(self, n_cap: int) -> Iterator[tuple]:
+    def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
         p, q, gate, weights = self.p, self.q, self.gate, self.weights
         least = min(weights)
         tracks = cos_track(self.s.numerator, self.s.denominator)
-        for n in range(n_cap + 1):
+        for n in _indices(n_cap):
             if n:
                 gate.step()
             values = next(tracks)
@@ -470,11 +467,6 @@ class _CosSystem:
                 return None
             width /= 2
         return None
-
-    def default_cap(self) -> int:
-        gate = self.gate
-        prefactor = self.q * max(self.weights[0], 1) ** 4 * gate.start
-        return 4 * factorial_dominance_index(gate.ratio, 1 / prefactor) + 8
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
@@ -545,12 +537,13 @@ def refute(
     """The canonical certificate: the first slot of the claim's stream that
     is a candidate and whose attempt succeeds.  A candidate's bound (or
     gate) is below 1 and, for the nonzero squeeze, its witness is nonzero.
-    Deterministic for fixed claim/cap/width."""
+    Deterministic for fixed claim/cap/width.
+
+    Without n_cap the search always ends with a certificate (README, "Why
+    every search ends"); reaching a given n_cap raises InconclusiveError."""
     engine_claim, transform = _delegate(claim)
     kind = _KINDS[claim.kind]
     engine = kind.engine(engine_claim, _resolve_width(target_width))
-    if n_cap is None:
-        n_cap = engine.default_cap()
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     for n, sequence, witness, below, attempt in engine.stream(n_cap):
         if below and (positive or witness != 0):

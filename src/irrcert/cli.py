@@ -277,7 +277,7 @@ def _build_parser() -> _Parser:
         "--arg-squared", type=_rational, help="squared argument s = r**2 (cos and ratio/squared kinds)"
     )
     p_refute.add_argument("--value", required=True, type=_rational, help="claimed value p/q")
-    p_refute.add_argument("--n-cap", type=int, help="search cap (default: engine estimate)")
+    p_refute.add_argument("--n-cap", type=int, help="search cap (default: none; every search ends)")
     p_refute.add_argument(
         "--target-width", type=_rational, help="starting enclosure width (default 1/2**64)"
     )

@@ -171,19 +171,3 @@ def tail_bound(spec: TailBoundSpec) -> Fraction:
         return root_hi ** (k + 1) * (s * s / 4) ** n / factorial(n)
     t_hi = sqrt_bounds(-s).hi
     return t_hi ** (k + 1) * (2 * s * s) ** n / factorial(n) * exp_upper_bound(t_hi)
-
-
-def factorial_dominance_index(base: Fraction, threshold: Fraction) -> int:
-    """Least n >= 0 with base**n / n! < threshold (strict)."""
-    base = Fraction(base)
-    threshold = Fraction(threshold)
-    if base <= 0 or threshold <= 0:
-        raise ValueError("base and threshold must be positive")
-    # base**n / n! / threshold as the unreduced integer pair num / den
-    num, den = threshold.denominator, threshold.numerator
-    n = 0
-    while num >= den:
-        n += 1
-        num *= base.numerator
-        den *= base.denominator * n
-    return n

@@ -163,24 +163,6 @@ class RatInterval:
         x = Fraction(x)
         return cls(x, x)
 
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "RatInterval") -> "RatInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RatInterval(min(products), max(products))
-
     def scale(self, c: Fraction) -> "RatInterval":
         """Multiply both endpoints by an exact rational."""
         c = Fraction(c)

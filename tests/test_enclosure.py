@@ -1,4 +1,5 @@
-"""Tests for rigorous series enclosures and factorial tail bounds.
+"""Tests for rigorous series enclosures and factorial tail bounds, and for
+the squeeze that ends every search once those bounds fall below 1.
 
 mpmath supplies the independent high-precision reference values; it is never
 used by the library itself.
@@ -9,7 +10,8 @@ from math import ceil, factorial, isqrt
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_acceptance import full_corpus
 
 from irrcert.enclosure import (
     EnclosureRequest,
@@ -18,9 +20,10 @@ from irrcert.enclosure import (
     TailKernel,
     enclose,
     exp_upper_bound,
-    factorial_dominance_index,
     tail_bound,
 )
+from irrcert import certificates
+from irrcert.certificates import Claim, ClaimKind, InconclusiveError, refute
 from irrcert.exactnum import RatInterval
 
 mpmath.mp.dps = 60
@@ -130,34 +133,6 @@ class TestTailBound:
         ref = mpmath.quad(lambda x: (x - x**2) ** 2 / 2 * mpmath.sin(x), [0, 1])
         bound = tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, Fraction(1), 2))
         assert abs(ref) <= mpmath.mpf(bound.numerator) / bound.denominator
-
-
-class TestFactorialDominanceIndex:
-    def test_known_points(self):
-        assert factorial_dominance_index(Fraction(1), Fraction(1, 2)) == 3
-        assert factorial_dominance_index(Fraction(2), Fraction(1)) == 4
-
-    def test_threshold_is_strict(self):
-        # 1**n/n! < 1 first holds at n = 2 (at n = 1 the ratio equals 1)
-        assert factorial_dominance_index(Fraction(1), Fraction(1)) == 2
-
-    def test_large_base_frozen_value(self):
-        assert factorial_dominance_index(Fraction(17), Fraction(1)) == 44
-
-    def test_returned_index_satisfies_inequality(self):
-        for base, threshold in [
-            (Fraction(5, 2), Fraction(1)),
-            (Fraction(10), Fraction(1, 7)),
-            (Fraction(1, 3), Fraction(2)),
-        ]:
-            n = factorial_dominance_index(base, threshold)
-            ratio = Fraction(1)
-            for k in range(1, n + 1):
-                ratio = ratio * base / k
-            assert ratio < threshold
-            if n > 0:
-                prev = ratio * n / base
-                assert prev >= threshold or n == 0
 
 
 # --------------------------------------------------------------------------
@@ -284,6 +259,7 @@ class TestSeriesAgainstReference:
 
 
 def _reference_dominance_index(base: Fraction, threshold: Fraction) -> int:
+    """Least n >= 0 with base**n / n! < threshold, on Fractions."""
     n = 0
     value = Fraction(1)
     while value >= threshold:
@@ -292,35 +268,118 @@ def _reference_dominance_index(base: Fraction, threshold: Fraction) -> int:
     return n
 
 
-class TestDominanceIndexAgainstReference:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        base=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(300), max_denominator=1000),
-        threshold=st.fractions(
-            min_value=Fraction(1, 10**40), max_value=Fraction(50), max_denominator=10**40
-        ),
+def _crossing_and_old_cap(claim: Claim):
+    """(m, cap): m is the first index where the claim's bound is below 1 (for
+    the cos system, the gate times the prefactor q * max(w_0, 1)**4, which
+    bounds every open slot's value); cap is the search cap that refute used
+    to derive from m when given none."""
+    delegated, _ = certificates._delegate(claim)
+    engine = certificates._KINDS[claim.kind].engine(
+        delegated, certificates._DEFAULT_TARGET_WIDTH
     )
-    def test_random_inputs(self, base, threshold):
-        if base <= 0 or threshold <= 0:
-            return
-        assert factorial_dominance_index(base, threshold) == _reference_dominance_index(base, threshold)
+    if certificates._KINDS[claim.kind].sequenced:
+        gate = engine.gate
+        prefactor = engine.q * max(engine.weights[0], 1) ** 4 * gate.start
+        m = _reference_dominance_index(gate.ratio, 1 / prefactor)
+        return m, 4 * m + 8
+    bound = engine.bound
+    m = _reference_dominance_index(bound.ratio, 1 / bound.start)
+    return m, 4 * m + 4
 
-    @pytest.mark.parametrize("base,threshold", [
-        (Fraction(1), Fraction(1)),  # ties at n = 0 and n = 1
-        (Fraction(2), Fraction(2)),  # ties at n = 1 and n = 2
-        (Fraction(3), Fraction(9, 2)),  # ties at n = 2 and n = 3
-        (Fraction(1, 2), Fraction(3)),  # below the threshold at once
-        (Fraction(1173, 10), Fraction(1, 10**30)),
-    ])
-    def test_ties_and_edges(self, base, threshold):
-        assert factorial_dominance_index(base, threshold) == _reference_dominance_index(base, threshold)
 
-    @pytest.mark.parametrize("base,threshold", [
-        (Fraction(0), Fraction(1)),
-        (Fraction(-1), Fraction(1)),
-        (Fraction(2), Fraction(0)),
-        (Fraction(2), Fraction(-1, 3)),
-    ])
-    def test_nonpositive_inputs_raise(self, base, threshold):
-        with pytest.raises(ValueError, match="base and threshold must be positive"):
-            factorial_dominance_index(base, threshold)
+def _assert_search_ends_by_itself(claim: Claim) -> None:
+    """Every search ends without a cap, where the paper's argument says.
+
+    * Three-term kinds: the bound start * ratio**n / n! is unimodal, so from
+      its first index m below 1 it stays below 1 (m = 0 when start < 1, which
+      only the positive squeeze allows, and there the first attempt succeeds);
+      the consecutive-zero exclusion leaves a nonzero witness at m or m + 1.
+    * Cos system: from m on every slot is open and its value is inside
+      (-1, 1); the descent identity leaves a nonzero witness at every index.
+    """
+    cert = refute(claim)
+    m, old_cap = _crossing_and_old_cap(claim)
+    assert refute(claim, n_cap=old_cap) == cert
+    # a stream capped at the found index still reaches it; one below does not
+    assert refute(claim, n_cap=cert.n) == cert
+    if cert.n:
+        with pytest.raises(InconclusiveError):
+            refute(claim, n_cap=cert.n - 1)
+    if certificates._KINDS[claim.kind].sequenced:
+        assert cert.n <= m
+    else:
+        assert m <= cert.n <= m + 1
+
+
+# the width-pinned certificates of tests/test_certificates.py
+FINE_WIDTH_CLAIMS = (
+    Claim(ClaimKind.SIN_SQ, Fraction(7, 5), Fraction(1, 2)),
+    Claim(ClaimKind.COS, Fraction(-4), Fraction(376, 100)),
+)
+
+# start < 1: pi = value, exp (normalized to t > 0) p * t, pi**2 sqrt(value)
+START_BELOW_ONE_CLAIMS = (
+    Claim(ClaimKind.PI, None, Fraction(1, 2)),
+    Claim(ClaimKind.PI, None, Fraction(39, 40)),
+    Claim(ClaimKind.EXP, Fraction(1, 6), Fraction(1, 40)),
+    Claim(ClaimKind.EXP, Fraction(-1, 6), Fraction(40)),
+    Claim(ClaimKind.PI_SQUARED, None, Fraction(1, 3)),
+)
+
+
+def _fractions(low: int, high: int, den: int, nonzero: bool = False):
+    """Fractions num / d with low <= num <= high and 1 <= d <= den.  The search
+    index grows with the numerators, so those, not the magnitudes, stay small."""
+    nums = st.integers(low, high).filter(bool) if nonzero else st.integers(low, high)
+    return st.builds(Fraction, nums, st.integers(1, den))
+
+
+_NONZERO_ARG = _fractions(-6, 6, 6, nonzero=True)
+# 4s is the cos argument of a squared-trig claim; |numerator| <= 3 keeps n below ~800
+_NONZERO_SQUARED_TRIG_ARG = _fractions(-3, 3, 6, nonzero=True)
+_VALUE = _fractions(-40, 40, 40)
+_POSITIVE_VALUE = _fractions(1, 40, 40)
+
+_CLAIMS = st.one_of(
+    st.builds(Claim, st.just(ClaimKind.TAN), _NONZERO_ARG, _VALUE),
+    st.builds(Claim, st.just(ClaimKind.TAN_RATIO), _fractions(1, 6, 6), _VALUE),
+    st.builds(Claim, st.just(ClaimKind.PI), st.none(), _POSITIVE_VALUE),
+    st.builds(Claim, st.just(ClaimKind.PI_SQUARED), st.none(), _POSITIVE_VALUE),
+    st.builds(Claim, st.just(ClaimKind.EXP), _NONZERO_ARG, _POSITIVE_VALUE),
+    st.builds(Claim, st.just(ClaimKind.COS), _NONZERO_ARG, _VALUE),
+    st.builds(Claim, st.just(ClaimKind.SIN_SQ), _NONZERO_SQUARED_TRIG_ARG, _VALUE),
+    st.builds(Claim, st.just(ClaimKind.COS_SQ), _NONZERO_SQUARED_TRIG_ARG, _VALUE),
+    st.builds(
+        Claim, st.just(ClaimKind.TAN_SQ), _NONZERO_SQUARED_TRIG_ARG, _VALUE.filter(lambda v: v != -1)
+    ),
+)
+
+
+class TestSearchEndsWithoutCap:
+    """refute needs no default cap: differential against the cap it used to
+    take, 4 m + 4 (three-term) or 4 m + 8 (cos), and the index the squeeze
+    argument predicts."""
+
+    @pytest.mark.parametrize("claim", [entry[1] for entry in full_corpus()],
+                             ids=[entry[0] for entry in full_corpus()])
+    def test_corpus(self, claim):
+        _assert_search_ends_by_itself(claim)
+
+    @pytest.mark.parametrize("claim", FINE_WIDTH_CLAIMS, ids=["sin_sq_7_5", "cosh_2"])
+    def test_fine_width_pins(self, claim):
+        _assert_search_ends_by_itself(claim)
+
+    @pytest.mark.parametrize("claim", START_BELOW_ONE_CLAIMS)
+    def test_start_below_one(self, claim):
+        assert _crossing_and_old_cap(claim)[0] == 0
+        assert refute(claim).n == 0
+        _assert_search_ends_by_itself(claim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(claim=_CLAIMS)
+    @example(claim=Claim(ClaimKind.COS, Fraction(-6), Fraction(40)))
+    @example(claim=Claim(ClaimKind.COS, Fraction(-1, 5), Fraction(1, 3)))
+    @example(claim=Claim(ClaimKind.SIN_SQ, Fraction(-3, 2), Fraction(39, 40)))
+    @example(claim=Claim(ClaimKind.TAN_SQ, Fraction(-1), Fraction(2)))
+    def test_random_claims(self, claim):
+        _assert_search_ends_by_itself(claim)

@@ -21,7 +21,6 @@ SPANS = (
     "certificates.check",
     "enclosure.enclose",
     "exactnum.sqrt_bounds",
-    "enclosure.dominance_index",
 )
 
 
