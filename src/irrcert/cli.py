@@ -174,13 +174,14 @@ def _cmd_verify(args, parser: _Parser) -> int:
     if args.target_width is not None and args.target_width <= 0:
         parser.error("--target-width must be positive")
     try:
-        with open(args.certificate, "r", encoding="utf-8") as handle:
+        with open(args.certificate, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read certificate: {exc}\n")
         return EXIT_USAGE
     try:
-        cert = certificate_from_json(text)
+        # strip the one "\n" refute writes; newline="" above keeps a "\r\n"
+        cert = certificate_from_json(text.removesuffix("\n"))
     except ValueError as exc:
         sys.stderr.write(f"malformed certificate: {exc}\n")
         return EXIT_USAGE

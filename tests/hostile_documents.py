@@ -1,0 +1,82 @@
+"""Hostile and non-canonical variants of one canonical certificate document.
+
+Each case maps the canonical text of a certificate with an enclosure, a
+transform and the claim argument "1/1" (sin_sq(1) = 7/10 has all three) to
+a document that ``certificate_from_json`` must reject with ValueError and
+``irrcert verify`` with exit 1.  The parser tests and the CLI tests share
+them.
+"""
+
+import json
+import threading
+from fractions import Fraction
+from functools import lru_cache, partial
+
+from irrcert.certificates import Claim, ClaimKind, refute, to_canonical_json
+
+
+@lru_cache(maxsize=1)
+def canonical_text() -> str:
+    return to_canonical_json(refute(Claim(ClaimKind.SIN_SQ, Fraction(1), Fraction(7, 10))))
+
+
+def _with_raw(text: str, path: tuple, raw: str) -> str:
+    """``text`` with the field at ``path`` replaced by the raw JSON ``raw``."""
+    doc = json.loads(text)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "\0"
+    out = json.dumps(doc, sort_keys=True, separators=(",", ":")).replace('"\\u0000"', raw)
+    assert out != text
+    return out
+
+
+def _escape_digit(text: str) -> str:
+    out = text.replace('"arg":"1/1"', '"arg":"\\u0031/1"', 1)
+    assert out != text and json.loads(out) == json.loads(text)
+    return out
+
+
+# name -> function of the canonical text
+HOSTILE = {
+    "pretty": lambda t: json.dumps(json.loads(t), indent=2, sort_keys=True),
+    "reordered_keys":
+        lambda t: json.dumps(dict(reversed(json.loads(t).items())), separators=(",", ":")),
+    "duplicate_key": lambda t: t[:-1] + f',"n":{json.loads(t)["n"]}}}',
+    "trailing_space": lambda t: t + " ",
+    "crlf": lambda t: t + "\r\n",
+    "two_newlines": lambda t: t + "\n\n",
+    "escaped_digit": _escape_digit,
+}
+HOSTILE.update(
+    (f"{field}_{raw}", partial(_with_raw, path=(field,), raw=raw))
+    for field in ("witness", "bound", "n")
+    for raw in ("Infinity", "-Infinity", "NaN", "1e400")
+)
+HOSTILE.update(
+    (f"{name}_nested_{depth}", partial(_with_raw, path=path, raw="[" * depth + "]" * depth))
+    for name, path in (("fn", ("enclosures", 0, "fn")), ("identity", ("transform", "identity")))
+    for depth in range(980, 1001)
+)
+
+
+def on_fresh_stack(fn, *args):
+    """``fn(*args)`` in a new thread, whose stack starts almost empty as in a
+    fresh ``irrcert`` process; under the test runner's own frames json.loads
+    would refuse the deeply nested cases before the parser saw them."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as exc:  # handed to the calling thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]

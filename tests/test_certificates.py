@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from irrcert.certificates import (
     NegativeSquareUnsupportedError,
     RefutationMode,
     SequenceId,
+    SinZeroUnresolvedError,
     TransformRecord,
     certificate_from_json,
     check_certificate,
@@ -25,6 +27,9 @@ from irrcert.certificates import (
     to_canonical_json,
 )
 from irrcert.recurrences import cos_system
+
+from hostile_documents import HOSTILE, canonical_text, on_fresh_stack
+from test_acceptance import corpus_certificates
 
 
 def F(*args):
@@ -226,6 +231,23 @@ class TestInconclusive:
                 -1, None, None)
 
 
+class TestZeroExclusionFailure:
+    # a pi convergent with |c - pi| < 2**-200: sin c, and sinc at 4s for
+    # s = (c/2)**2, straddle zero at every width the halvings reach
+    c = F(3295067114621516485591085556500, 1048852438223126443433921604719)
+
+    @pytest.mark.parametrize("claim", [
+        Claim(ClaimKind.TAN, c / 2, F(1)),
+        Claim(ClaimKind.TAN_RATIO, (c / 2) ** 2, F(1)),
+    ], ids=["tan", "tan_ratio"])
+    def test_reports_the_last_width_tried(self, claim):
+        # 64 enclosures from the default width 2**-64: the last is at 2**-127
+        start = time.perf_counter()
+        with pytest.raises(SinZeroUnresolvedError, match=f"at width {F(1, 2 ** 127)}$"):
+            refute(claim)
+        assert time.perf_counter() - start < 1
+
+
 class TestHypothesisIndependence:
     def test_nonzero_enclosures_ignore_claimed_value(self):
         # rigor side of the tan squeeze depends on r only, never on p/q
@@ -384,8 +406,30 @@ class TestSerialization:
     def test_malformed_documents_rejected(self, mangle):
         doc = json.loads(to_canonical_json(refute(Claim(ClaimKind.TAN, F(1), F(2)))))
         mangle(doc)
+        # dumped canonically, so that each mangle is rejected for its own defect
         with pytest.raises(ValueError):
-            certificate_from_json(json.dumps(doc))
+            certificate_from_json(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+    def test_unmangled_canonical_dump_parses(self):
+        cert = refute(Claim(ClaimKind.TAN, F(1), F(2)))
+        doc = json.loads(to_canonical_json(cert))
+        assert certificate_from_json(json.dumps(doc, sort_keys=True, separators=(",", ":"))) == cert
+
+    @pytest.mark.parametrize("mangle", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_non_canonical_and_hostile_documents_raise_value_error(self, mangle):
+        # pytest.raises lets any other exception type through as an error
+        with pytest.raises(ValueError):
+            on_fresh_stack(certificate_from_json, mangle(canonical_text()))
+
+    def test_nested_cases_reach_past_the_decoder(self):
+        # on a fresh stack the shallowest nested cases decode, so they test
+        # the parser's own type checks and not json.loads' recursion limit
+        for name in ("fn_nested_980", "identity_nested_980"):
+            assert isinstance(on_fresh_stack(json.loads, HOSTILE[name](canonical_text())), dict)
+
+    def test_corpus_certificates_round_trip(self):
+        for label, _claim, cert, *_rest in corpus_certificates():
+            assert certificate_from_json(to_canonical_json(cert)) == cert, label
 
     def test_deeply_nested_json_rejected(self):
         with pytest.raises(ValueError, match="not valid JSON"):

@@ -13,6 +13,8 @@ import irrcert.cli as cli
 from irrcert.certificates import _KINDS, ClaimKind
 from irrcert.cli import format_decimal, main
 
+from hostile_documents import HOSTILE, canonical_text, on_fresh_stack
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -49,6 +51,16 @@ class TestRefute:
         code, out, err = run(capsys, "refute", "--kind", "tan", "--arg", "0", "--value", "0")
         assert code == 2 and out == ""
         assert "degenerate" in err
+
+    def test_zero_exclusion_failure_exits_1(self, capsys):
+        # t = c/2 for a pi convergent c with |c - pi| < 2**-200
+        code, out, err = run(
+            capsys, "refute", "--kind", "tan",
+            "--arg", "3295067114621516485591085556500/2097704876446252886867843209438",
+            "--value", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_negative_square_exits_2(self, capsys):
         code, _, err = run(
@@ -163,7 +175,7 @@ class TestVerify:
         )
         doc = json.loads(path.read_text())
         doc["witness"] = str(int(doc["witness"]) + 1)
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 4
         assert out == "INVALID: witness mismatch\n"
@@ -200,6 +212,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 1 and out == ""
         assert "malformed certificate" in err
+
+    @pytest.mark.parametrize("mangle", HOSTILE.values(), ids=HOSTILE.keys())
+    def test_hostile_documents_exit_1(self, capsys, tmp_path, mangle):
+        path = tmp_path / "cert.json"
+        path.write_bytes(mangle(canonical_text()).encode("utf-8"))
+        code, out, err = on_fresh_stack(run, capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("malformed certificate") and err.count("\n") == 1
 
     def test_deeply_nested_document_exits_1(self, capsys, tmp_path):
         path = tmp_path / "nested.json"
