@@ -47,7 +47,7 @@ from itertools import chain, count, islice
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .enclosure import EnclosureRequest, Func, enclose, exp_upper_bound
+from .enclosure import EnclosureRequest, Func, enclose, even_series, exp_upper_bound
 from .exactnum import RatInterval, format_rational, sqrt_bounds
 from .recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
@@ -412,6 +412,7 @@ class _CosSystem:
             raise DegenerateClaimError("cos claim requires a nonzero squared argument")
         self.p, self.q = claim.value.numerator, claim.value.denominator
         self.s, self.width = s, width
+        self.cos = even_series(s, 0)
         root_hi = sqrt_bounds(abs(s)).hi
         # the tail bound of the sequence with weight power k is
         # weights[k] * (s**2/4)**n / n! for s > 0, and
@@ -445,21 +446,25 @@ class _CosSystem:
         """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v
         are a sequence's coordinates already scaled by b**(2n+1).
 
-        Returns (bound, (cos enclosure record,)) on success, None if the
-        scaled value is provably outside or the width floor is hit while
-        straddling."""
+        Each try decides on the claim's cos series window, in integers, if
+        the value window is inside (-1, 1), outside it, or straddles a bound
+        (halve the width); only a success builds Fractions.  Returns (bound,
+        (cos enclosure record,)) on success, None if the scaled value is
+        provably outside or the width floor is hit while straddling."""
         qu, qv = self.q * u, self.q * v
         # a width-w cos enclosure becomes a value window of width w |q v|, so
         # divide the coefficient out up front; the halvings below then only fire
         # when the true value sits within the start width of the unit boundary
         width = self.width / max(1, 2 * abs(qv))
         for _ in range(_MAX_SUBSET_HALVINGS):
-            cos_iv = enclose(EnclosureRequest(Func.COS_FROM_S, self.s, width))
-            value_iv = cos_iv.scale(qv).translate(qu)
-            if value_iv.is_inside_open_unit():
+            lo, hi, den = self.cos.window(width)
+            centre = qu * den  # the value window is [low / den, high / den]
+            low, high = sorted((centre + qv * lo, centre + qv * hi))
+            if -den < low and high < den:
+                cos_iv = self.cos.enclose(width)
                 record = EnclosureRecord(Func.COS_FROM_S.value, self.s, cos_iv.lo, cos_iv.hi)
-                return value_iv.max_abs(), (record,)
-            if value_iv.lo >= 1 or value_iv.hi <= -1:
+                return cos_iv.scale(qv).translate(qu).max_abs(), (record,)
+            if low >= den or high <= -den:
                 return None
             width /= 2
         return None

@@ -16,8 +16,10 @@ Remainder bounds used (the first omitted term times a growth factor):
 * hyperbolic branch (s < 0) and EXP: growth 3**ceil(T), a rational
   stand-in for e**T >= cosh(T) in the Lagrange form.
 
-``_taylor`` keeps the remainder and the partial sum (by Horner, over one
-common denominator) as integer pairs and makes each a Fraction once.
+A ``Series`` sums one of them forward over one common integer denominator:
+a finer width resumes from the term count reached, a wider one starts over,
+so the enclosure at a width never depends on the widths asked before.
+``enclose()`` builds a fresh series for each request.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil, factorial, isqrt, prod
+from typing import Tuple
 
 from .exactnum import RatInterval, sqrt_bounds
 
@@ -51,67 +54,90 @@ class EnclosureRequest:
             raise ValueError("target width must be positive")
 
 
-def _taylor(
-    y: Fraction, k: int, delta: int, start: int, growth: int, target_width: Fraction
-) -> RatInterval:
-    """Enclose sum_m y**m / (k m + delta)!: the partial sum up to the least
+class Series:
+    """sum_m y**m / (k m + delta)! at a width: the partial sum up to the least
     N >= start whose radius |y|**(N+1) / (k (N+1) + delta)! * growth is at
-    most target_width / 2, plus and minus that radius."""
-    a, b = y.numerator, y.denominator
-    abs_a = abs(a)
-    cap_num, cap_den = target_width.numerator, 2 * target_width.denominator
+    most width / 2, plus and minus that radius.
 
-    def step(j: int) -> int:  # (k j + delta + 1) ... (k j + delta + k)
-        return prod(range(k * j + delta + 1, k * j + delta + k + 1))
+    The state is N, y's numerator to the N, and the sum as p f_N / rden with
+    rden = d_N f_N, where d_N = b**N (k N + delta)! and f_N = d_(N+1) / d_N.
+    A width no wider than the last resumes from N, since every smaller count
+    failed the wider width; a wider one starts over, as the radius need not
+    fall with N (the cosh branch)."""
 
-    # radius / (target_width / 2) as the unreduced integer pair num / den
-    n = start
-    num = abs_a ** (n + 1) * growth * cap_den
-    den = b ** (n + 1) * factorial(k * (n + 1) + delta) * cap_num
-    while num > den:
-        n += 1
-        num *= abs_a
-        den *= b * step(n)
-    # Horner: delta! * partial = 1 + (y / step(0)) (1 + (y / step(1)) (1 + ...))
-    p = q = 1
-    for j in range(n - 1, -1, -1):
-        d = b * step(j) * q
-        p, q = d + a * p, d
-    partial = Fraction(p, q * factorial(delta))
-    remainder = Fraction(num // cap_den, den // cap_num)
-    return RatInterval(partial - remainder, partial + remainder)
+    __slots__ = ("a", "b", "k", "delta", "start", "growth", "width", "n", "p", "apow", "f", "rden")
+
+    def __init__(self, y: Fraction, k: int, delta: int, start: int, growth: int):
+        self.a, self.b = y.numerator, y.denominator
+        self.k, self.delta, self.start, self.growth = k, delta, start, growth
+        self.width = None
+
+    def _factor(self, j: int) -> int:
+        """f_j = d_(j+1) / d_j = b (k j + delta + 1) ... (k j + delta + k)."""
+        low = self.k * j + self.delta
+        return self.b * prod(range(low + 1, low + self.k + 1))
+
+    def window(self, width: Fraction) -> Tuple[int, int, int]:
+        """(lo, hi, den): the enclosure at this width is [lo / den, hi / den],
+        den > 0, over one unreduced common denominator."""
+        if self.width is None or width > self.width:
+            # N = 0: the sum 1 / delta! over d_0 = delta!
+            self.n, self.p, self.apow, self.f = 0, 1, 1, self._factor(0)
+            self.rden = factorial(self.delta) * self.f
+        self.width = width
+        a, abs_a, start, factor = self.a, abs(self.a), self.start, self._factor
+        n, p, apow, f = self.n, self.p, self.apow, self.f
+        # radius / (width / 2) as the unreduced pair num / den; the width is
+        # folded in once, so each step multiplies big integers by small ones
+        wnum, wden = width.numerator, 2 * width.denominator
+        num = abs(apow * a) * self.growth * wden
+        den = self.rden * wnum
+        while n < start or num > den:
+            n += 1
+            apow *= a
+            p = p * f + apow
+            f = factor(n)
+            num *= abs_a
+            den *= f
+        self.n, self.p, self.apow, self.f = n, p, apow, f
+        self.rden = rden = den // wnum
+        centre, radius = p * f, abs(apow * a) * self.growth
+        return centre - radius, centre + radius, rden
+
+    def enclose(self, width: Fraction) -> RatInterval:
+        lo, hi, den = self.window(width)
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
 
-def _even_series(s: Fraction, delta: int, target_width: Fraction) -> RatInterval:
-    """Enclose sum_m (-1)**m s**m / (2m + delta)!  (delta 0: cos-type,
-    delta 1: sinc-type), valid for either sign of s."""
+def even_series(s: Fraction, delta: int) -> Series:
+    """sum_m (-1)**m s**m / (2m + delta)!  (delta 0: cos-type, delta 1:
+    sinc-type), valid for either sign of s."""
     if s < 0:
         # ceil(sqrt(-s)) = isqrt(c - 1) + 1 with c = ceil(-s) >= 1
-        return _taylor(-s, 2, delta, 0, 3 ** (isqrt(ceil(-s) - 1) + 1), target_width)
+        return Series(-s, 2, delta, 0, 3 ** (isqrt(ceil(-s) - 1) + 1))
     # start where the terms decrease from the first omitted one onward
     start = 0
     while s > (2 * start + 3 + delta) * (2 * start + 4 + delta):
         start += 1
-    return _taylor(-s, 2, delta, start, 1, target_width)
+    return Series(-s, 2, delta, start, 1)
 
 
 def enclose(req: EnclosureRequest) -> RatInterval:
     """Interval provably containing the requested value, width <= target."""
     fn, x, w = req.function, req.argument, req.target_width
     if fn is Func.EXP:
-        return _taylor(x, 1, 0, 0, 3 ** ceil(abs(x)), w)
+        return Series(x, 1, 0, 0, 3 ** ceil(abs(x))).enclose(w)
     if fn is Func.COS_FROM_S:
-        return _even_series(x, 0, w)
+        return even_series(x, 0).enclose(w)
     if fn is Func.SINC_FROM_S:
-        return _even_series(x, 1, w)
+        return even_series(x, 1).enclose(w)
     if fn is Func.COS:
-        return _even_series(x * x, 0, w)
+        return even_series(x * x, 0).enclose(w)
     if fn is Func.SIN:
         if x == 0:
             return RatInterval.from_point(Fraction(0))
         # sin r = r * sinc(r); scaling by r multiplies the width by |r|
-        sinc_part = _even_series(x * x, 1, w / abs(x))
-        return sinc_part.scale(x)
+        return even_series(x * x, 1).enclose(w / abs(x)).scale(x)
     raise ValueError(f"unknown enclosure function {fn!r}")
 
 

@@ -186,10 +186,6 @@ class RatInterval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def is_inside_open_unit(self) -> bool:
-        """True iff [lo, hi] is a subset of the open interval (-1, 1)."""
-        return self.lo > -1 and self.hi < 1
-
     def min_abs(self) -> Fraction:
         """Least |x| over the interval (0 if it straddles zero)."""
         if self.contains_zero():

@@ -1,4 +1,5 @@
-"""The checker's single pass: pinned reasons and one stream per check.
+"""The checker's single pass: pinned reasons, one stream per check, and a
+cos series summed at most once per search and twice per check.
 
 The reason table was recorded from the checker that replayed each
 certificate at its index and then reran the whole search; the one-pass
@@ -6,13 +7,14 @@ checker must give the same (ok, reason) for the corpus and every
 criterion-5 mutant.
 """
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from test_acceptance import corpus_certificates, full_corpus, mutations
 
-from irrcert import certificates
+from irrcert import certificates, enclosure
 from irrcert.certificates import (
     Claim, ClaimKind, InconclusiveError, SequenceId, check_certificate, refute,
 )
@@ -157,3 +159,34 @@ def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
         assert check_certificate(forged).ok == (_search(claim, n) == forged), (n, sequence)
         forged_count += 1
     assert forged_count >= 2
+
+
+# a deep-band cos claim (n = 133) whose check keeps earlier failed attempts
+DEEP_COS_CLAIM = Claim(ClaimKind.COS, F(14), F(-83, 100))
+
+
+@pytest.mark.parametrize("claim", COS_FAMILY_CLAIMS + [DEEP_COS_CLAIM],
+                         ids=lambda c: f"{c.kind.value}-{c.arg}-{c.value}")
+def test_cos_series_sums_once_per_search_and_twice_per_check(monkeypatch, claim):
+    # each term step of a series computes one factor f_j; a series that
+    # reaches N terms and never starts over computes N + 1 of them
+    factors, reached = Counter(), Counter()
+    factor, window = enclosure.Series._factor, enclosure.Series.window
+
+    def counted_factor(series, j):
+        factors[series] += 1
+        return factor(series, j)
+
+    def counted_window(series, width):
+        result = window(series, width)
+        reached[series] = max(reached[series], series.n)
+        return result
+
+    monkeypatch.setattr(enclosure.Series, "_factor", counted_factor)
+    monkeypatch.setattr(enclosure.Series, "window", counted_window)
+    cert = refute(claim)
+    assert factors and all(factors[key] <= reached[key] + 1 for key in factors)
+    factors.clear()
+    reached.clear()
+    assert check_certificate(cert).ok
+    assert factors and all(factors[key] <= 2 * (reached[key] + 1) for key in factors)

@@ -19,10 +19,11 @@ from irrcert.enclosure import (
     TailBoundSpec,
     TailKernel,
     enclose,
+    even_series,
     exp_upper_bound,
     tail_bound,
 )
-from irrcert import certificates
+from irrcert import certificates, enclosure
 from irrcert.certificates import Claim, ClaimKind, InconclusiveError, refute
 from irrcert.exactnum import RatInterval
 
@@ -256,6 +257,154 @@ class TestSeriesAgainstReference:
         for x in (Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
             for width in (Fraction(1), Fraction(5, 2), Fraction(10**6)):
                 _assert_matches_reference(fn, x, width)
+
+
+# a width after the previous one: the same, half of it, or a fresh draw that
+# may be narrower or wider
+_WIDTH = st.builds(lambda p, q, e: Fraction(p, q * 2**e),
+                   st.integers(1, 16), st.integers(1, 16), st.integers(0, 1200))
+_NEXT_WIDTH = st.one_of(st.just("same"), st.just("half"), _WIDTH)
+
+
+class TestResumableSeries:
+    """One series asked for many widths answers each exactly as a fresh
+    reference sum at that width would, whatever came before."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        a=st.integers(-400, 400),
+        b=st.integers(1, 60),
+        delta=st.sampled_from([0, 1]),
+        first=_WIDTH,
+        moves=st.lists(_NEXT_WIDTH, min_size=1, max_size=8),
+    )
+    def test_width_sequences(self, a, b, delta, first, moves):
+        s = Fraction(a, b)
+        series = even_series(s, delta)
+        width = first
+        for move in [first] + moves:
+            width = width if move == "same" else width / 2 if move == "half" else move
+            lo, hi, den = series.window(width)
+            ref = _reference_even_series(s, delta, width)
+            assert den > 0 and (Fraction(lo, den), Fraction(hi, den)) == (ref.lo, ref.hi)
+            assert series.enclose(width) == ref
+
+    # wider after narrower; on the cosh branch the radius first rises, so a
+    # wider width may need fewer terms than any asked before
+    @pytest.mark.parametrize("s", [Fraction(-30), Fraction(-49, 9), Fraction(56), Fraction(1, 3)])
+    def test_wider_after_narrower(self, s):
+        series = even_series(s, 0)
+        for e in (800, 3, 400, 1, 0, 64, 64, 2000, 5):
+            width = Fraction(1, 2**e)
+            assert series.enclose(width) == _reference_even_series(s, 0, width)
+
+
+def _reference_attempt(s: Fraction, q: int, u: int, v: int, start_width: Fraction):
+    """The cos subset attempt on reduced Fraction intervals: a fresh
+    reference enclosure at each width, tested with the strict (-1, 1)."""
+    qu, qv = q * u, q * v
+    width = start_width / max(1, 2 * abs(qv))
+    for _ in range(certificates._MAX_SUBSET_HALVINGS):
+        cos_iv = _reference_even_series(s, 0, width)
+        value_iv = cos_iv.scale(qv).translate(qu)
+        if value_iv.lo > -1 and value_iv.hi < 1:
+            record = certificates.EnclosureRecord("cos_from_s", s, cos_iv.lo, cos_iv.hi)
+            return value_iv.max_abs(), (record,)
+        if value_iv.lo >= 1 or value_iv.hi <= -1:
+            return None
+        width /= 2
+    return None
+
+
+def _cos_engine(s: Fraction, q: int, start_width: Fraction):
+    return certificates._CosSystem(Claim(ClaimKind.COS, s, Fraction(1, q)), start_width)
+
+
+def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: Fraction):
+    """The attempt's result (q = 1) and the number of distinct widths it
+    tried (a success asks for its last width twice, the second time for the
+    Fraction record)."""
+    engine, widths = _cos_engine(s, 1, start_width), []
+    window = enclosure.Series.window
+
+    def recorded(series, width):
+        widths.append(width)
+        return window(series, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enclosure.Series, "window", recorded)
+        return engine._attempt(u, v), len(set(widths))
+
+
+def _edge_case(s: Fraction, v: int, edge: int, at_hi: bool, width: Fraction):
+    """(u, v, start width): v is scaled so that one end of the value window
+    of the first try is exactly edge (q = 1)."""
+    cos_iv = _reference_even_series(s, 0, width)
+    end = cos_iv.hi if (v > 0) == at_hi else cos_iv.lo
+    v *= end.denominator
+    u = edge - v * end
+    assert u.denominator == 1
+    return int(u), v, width * max(1, 2 * abs(v))
+
+
+class TestCosAttemptAgainstReference:
+    """_CosSystem._attempt decides on integer windows; the reference decides
+    on reduced Fraction intervals at each width."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        s=st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 9)),
+        q=st.integers(1, 3),
+        digits=st.integers(0, 40),
+        edge=st.sampled_from([-1, 0, 1]),
+        e=st.integers(0, 12),
+    )
+    def test_random_attempts(self, s, q, digits, edge, e):
+        # P / v is the best approximation of cos r with v <= 10**digits, so
+        # u + v cos r = edge + (v cos r - P) sits within about 1 / v of the
+        # edge: inside, outside and straddle-then-halve all occur
+        cos_lo = _reference_even_series(s, 0, Fraction(1, 2 ** (4 * digits + 80))).lo
+        approx = cos_lo.limit_denominator(10**digits)
+        u, v = edge - approx.numerator, approx.denominator
+        width = Fraction(1, 2**e)
+        for u, v in ((u, v), (-u, -v)):
+            assert _cos_engine(s, q, width)._attempt(u, v) == _reference_attempt(s, q, u, v, width)
+
+    @pytest.mark.parametrize("s", [Fraction(1), Fraction(-4), Fraction(49, 9)])
+    @pytest.mark.parametrize("edge", [1, -1])
+    @pytest.mark.parametrize("at_hi", [True, False])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_value_window_ends_exactly_at_one(self, monkeypatch, s, edge, at_hi, sign):
+        u, v, width = _edge_case(s, sign * 3, edge, at_hi, Fraction(1, 2**40))
+        expected = _reference_attempt(s, 1, u, v, width)
+        got, tries = _cos_attempt_widths(monkeypatch, s, u, v, width)
+        assert got == expected
+        # +1 as the window's low end, or -1 as its high end, is outside at
+        # the first try; the other end on the boundary straddles
+        outside = (edge == 1) != at_hi
+        assert outside == (tries == 1)
+        if outside:
+            assert expected is None
+
+    def test_straddle_and_halve(self, monkeypatch):
+        # the window's high end at exactly 1: the first try straddles.  At
+        # s = 1 the cos window is 2 / (2N+2)! wide and v, the denominator of
+        # its end, divides (2N+2)!, so the value window is at most 2 wide and
+        # the true value, irrational and below 1, is above -1: the halvings
+        # end inside
+        s = Fraction(1)
+        u, v, width = _edge_case(s, 1, 1, True, Fraction(1, 2**20))
+        accepted, tries = _cos_attempt_widths(monkeypatch, s, u, v, width)
+        assert accepted is not None and accepted == _reference_attempt(s, 1, u, v, width)
+        assert tries >= 2
+
+    # v = 0: the value window is the point u, decided at the first try
+    @pytest.mark.parametrize("u,inside", [(0, True), (1, False), (-1, False), (2, False)])
+    def test_no_cos_coefficient(self, monkeypatch, u, inside):
+        s, width = Fraction(3), Fraction(1, 2**64)
+        got, tries = _cos_attempt_widths(monkeypatch, s, u, 0, width)
+        assert got == _reference_attempt(s, 1, u, 0, width)
+        assert (got is not None) == inside and tries == 1
 
 
 def _reference_dominance_index(base: Fraction, threshold: Fraction) -> int:

@@ -124,11 +124,6 @@ class TestRatInterval:
         assert iv.min_abs() == 0
         assert iv.max_abs() == Fraction(3, 2)
 
-    def test_open_unit_is_strict(self):
-        assert RatInterval(Fraction(-1, 2), Fraction(1, 2)).is_inside_open_unit()
-        assert not RatInterval(Fraction(-1), Fraction(0)).is_inside_open_unit()
-        assert not RatInterval(Fraction(0), Fraction(1)).is_inside_open_unit()
-
     def test_min_abs_sign_cases(self):
         assert RatInterval(Fraction(1, 3), Fraction(2)).min_abs() == Fraction(1, 3)
         assert RatInterval(Fraction(-2), Fraction(-1, 3)).min_abs() == Fraction(1, 3)
