@@ -29,10 +29,10 @@ canonical order, and one loop, ``refute``, returns the first that certifies.
 Certificates record everything a checker needs: index, sequence, witness,
 bound, and the enclosure transcript.  ``check_certificate`` steps the same
 stream once, up to the certificate's own slot, and re-derives every number
-there from the claim alone, so no stored field is trusted; it then tries the
-earlier candidates' attempts, any of which would have ended the search.  All
-searches and precision schedules are pure functions of the claim; rerunning
-a refutation is byte-stable.
+there from the claim alone, so no stored field is trusted; on the way it
+tries the earlier candidates' attempts, any of which would have ended the
+search.  All searches and precision schedules are pure functions of the
+claim; rerunning a refutation is byte-stable.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, count, islice
+from itertools import count
 from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -60,7 +60,6 @@ SCHEMA_VERSION = 1
 
 _DEFAULT_TARGET_WIDTH = Fraction(1, 1 << 64)
 _MAX_ZERO_EXCLUSION_HALVINGS = 64
-_MAX_SUBSET_HALVINGS = 512
 _MAX_KEPT_ATTEMPTS = 64
 
 
@@ -254,10 +253,11 @@ def _indices(n_cap: Optional[int]) -> Iterable[int]:
 #     (n, sequence, witness, below, attempt):
 # ``witness`` is the integer the claim forces at the slot, ``below`` whether
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
-# returns (bound, enclosures) or None when the slot cannot be certified.  The
-# attempt of a slot that is below 1 holds that slot's numbers and stays valid
-# after the stream moves on, so the checker can keep it; any other attempt
-# is valid only at its slot.  A cos slot whose gate is not below 1 has no
+# returns (bound, enclosures), or None when the slot's true value is provably
+# outside (-1, 1) (three-term attempts always succeed).  The attempt of a
+# slot that is below 1 holds that slot's numbers and stays valid after the
+# stream moves on, so the checker can keep it; any other attempt is valid
+# only at its slot.  A cos slot whose gate is not below 1 has no
 # witness and no attempt (both None).  An engine streams once.
 # --------------------------------------------------------------------------
 
@@ -448,26 +448,26 @@ class _CosSystem:
 
         Each try decides on the claim's cos series window, in integers, if
         the value window is inside (-1, 1), outside it, or straddles a bound
-        (halve the width); only a success builds Fractions.  Returns (bound,
-        (cos enclosure record,)) on success, None if the scaled value is
-        provably outside or the width floor is hit while straddling."""
+        (halve the width).  The true value is never +-1 (for v != 0 that is
+        the irrationality of cos r; for v = 0 the window is the point q u),
+        so the halvings end.  Returns (bound, (cos enclosure record,)), both
+        read off the deciding window, if inside; None if outside."""
         qu, qv = self.q * u, self.q * v
         # a width-w cos enclosure becomes a value window of width w |q v|, so
         # divide the coefficient out up front; the halvings below then only fire
         # when the true value sits within the start width of the unit boundary
         width = self.width / max(1, 2 * abs(qv))
-        for _ in range(_MAX_SUBSET_HALVINGS):
+        while True:
             lo, hi, den = self.cos.window(width)
             centre = qu * den  # the value window is [low / den, high / den]
             low, high = sorted((centre + qv * lo, centre + qv * hi))
             if -den < low and high < den:
-                cos_iv = self.cos.enclose(width)
-                record = EnclosureRecord(Func.COS_FROM_S.value, self.s, cos_iv.lo, cos_iv.hi)
-                return cos_iv.scale(qv).translate(qu).max_abs(), (record,)
+                record = EnclosureRecord(Func.COS_FROM_S.value, self.s, Fraction(lo, den),
+                                         Fraction(hi, den))
+                return Fraction(max(-low, high), den), (record,)
             if low >= den or high <= -den:
                 return None
             width /= 2
-        return None
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
@@ -585,26 +585,24 @@ def _check_structure(cert: Certificate) -> Optional[str]:
     return None
 
 
-def _check_pass(
-    cert: Certificate, kind: _Kind, engine: _Engine, new_engine: Callable[[], _Engine]
-) -> Optional[str]:
+def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str]:
     """Step the stream to the certificate's own (n, sequence) and re-derive
-    its fields there.  If they all reproduce, try the attempts of the
-    earlier candidates in stream order: the search would have stopped at
-    any that succeeds.  Returns the first problem found, or None."""
+    its fields there, trying the attempts of the earlier candidates on the
+    way: the search would have stopped at any that succeeds.  Returns the
+    first problem found, or None."""
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     own_n, own_sequence = cert.n, cert.sequence
-    # an attempt holds its slot's integers, so only the first
-    # _MAX_KEPT_ATTEMPTS are kept and memory stays linear in n
-    kept, more = [], False
+    # an attempt holds its slot's integers, so at most _MAX_KEPT_ATTEMPTS are
+    # kept: a full list is tried at once, and none is kept after a success
+    kept, beaten = [], False
     for n, sequence, witness, below, attempt in engine.stream(own_n):
         if n == own_n and sequence is own_sequence:
             break
-        if below and (positive or witness != 0):
-            if len(kept) < _MAX_KEPT_ATTEMPTS:
-                kept.append(attempt)
-            else:
-                more = True
+        if not beaten and below and (positive or witness != 0):
+            kept.append(attempt)
+            if len(kept) == _MAX_KEPT_ATTEMPTS:
+                beaten = any(tried() is not None for tried in kept)
+                kept = []
     if attempt is None:
         return "decay gate not satisfied at certificate index"
     accepted = attempt()
@@ -621,22 +619,9 @@ def _check_pass(
         return "bound mismatch"
     if not below:
         return "squeeze condition fails"
-    if more:
-        # the candidates past the kept ones, reached by a second pass
-        rest = _earlier_attempts(cert, positive, new_engine())
-        kept = chain(kept, islice(rest, _MAX_KEPT_ATTEMPTS, None))
-    if any(tried() is not None for tried in kept):
+    if beaten or any(tried() is not None for tried in kept):
         return "not the canonical certificate for this claim"
     return None
-
-
-def _earlier_attempts(cert: Certificate, positive: bool, engine: _Engine) -> Iterator[Callable]:
-    """The attempts of the candidate slots before the certificate's own."""
-    for n, sequence, witness, below, attempt in engine.stream(cert.n):
-        if n == cert.n and sequence is cert.sequence:
-            return
-        if below and (positive or witness != 0):
-            yield attempt
 
 
 def check_certificate(
@@ -646,9 +631,9 @@ def check_certificate(
     certificate is the canonical search result for its claim.
 
     One pass of the claim's stream re-derives the fields at the
-    certificate's own (n, sequence) and keeps the attempts of the earlier
-    candidates (past the first ``_MAX_KEPT_ATTEMPTS``, a second pass reaches
-    the rest).  The search stops at the first candidate whose attempt
+    certificate's own (n, sequence) and tries the attempts of the earlier
+    candidates, each full list of ``_MAX_KEPT_ATTEMPTS`` as it fills and the
+    rest at the end.  The search stops at the first candidate whose attempt
     succeeds, so once the own fields reproduce, the certificate is canonical
     exactly when every earlier attempt fails; the search is never rerun.
 
@@ -670,7 +655,7 @@ def check_certificate(
         engine = kind.engine(claim, width)
     except RefutationError as exc:
         return CheckResult(False, f"claim rejected on replay: {exc}")
-    problem = _check_pass(cert, kind, engine, partial(kind.engine, claim, width))
+    problem = _check_pass(cert, kind, engine)
     return CheckResult(problem is None, problem)
 
 

@@ -10,6 +10,7 @@ criterion-5 mutant.
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from test_acceptance import corpus_certificates, full_corpus, mutations
@@ -137,12 +138,12 @@ def _search(claim, n_cap):
         return None
 
 
-@pytest.mark.parametrize("kept", [None, 0, 2], ids=lambda k: f"kept={k}")
+@pytest.mark.parametrize("kept", [None, 1, 2], ids=lambda k: f"kept={k}")
 @pytest.mark.parametrize("claim", COS_FAMILY_CLAIMS, ids=lambda c: f"{c.kind.value}-{c.value}")
 def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
-    # the check pass settles canonicity from the attempts it kept (and a
-    # second pass past them); the search it replaces would accept a forged
-    # certificate exactly when rerunning refute up to its n returns it
+    # the check pass settles canonicity from the attempts it tries on the
+    # way, a full kept list at once; the search it replaces would accept a
+    # forged certificate exactly when rerunning refute up to its n returns it
     if kept is not None:
         monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", kept)
     cert = refute(claim)
@@ -159,6 +160,67 @@ def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
         assert check_certificate(forged).ok == (_search(claim, n) == forged), (n, sequence)
         forged_count += 1
     assert forged_count >= 2
+
+
+# sin**2(1) = 177/250: its certificate sits at (12, I) after four failing
+# candidates, and (12, I) and most later candidate slots succeed
+SIN_SQ_CLAIM = Claim(ClaimKind.SIN_SQ, F(1), F(177, 250))
+
+
+def test_check_is_one_pass_when_the_kept_list_fills(monkeypatch):
+    cert = refute(SIN_SQ_CLAIM)
+    assert (cert.n, cert.sequence) == (12, SequenceId.I)
+    monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", 2)
+    draws = []
+    original = certificates.cos_track
+
+    def counted(*args):
+        for value in original(*args):
+            draws.append(value)
+            yield value
+
+    monkeypatch.setattr(certificates, "cos_track", counted)
+    assert check_certificate(cert).ok
+    assert len(draws) == cert.n + 1
+
+
+def test_full_kept_list_is_tried_at_once_and_not_after_a_success(monkeypatch):
+    # forged at the later (14, L), every local condition holds; with room for
+    # one kept attempt, each earlier candidate is tried before the next slot
+    # is drawn, and none after the canonical (12, I) succeeds
+    cert = refute(SIN_SQ_CLAIM)
+    engine_claim, _ = certificates._delegate(SIN_SQ_CLAIM)
+    engine = certificates._CosSystem(engine_claim, certificates._DEFAULT_TARGET_WIDTH)
+    for n, sequence, witness, _below, attempt in engine.stream(14):
+        if (n, sequence) == (14, SequenceId.L):
+            bound, enclosures = attempt()
+    forged = replace(cert, n=14, sequence=SequenceId.L, witness=witness, bound=bound,
+                     enclosures=enclosures)
+    monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", 1)
+    events = []
+    stream = certificates._CosSystem.stream
+
+    def tried(slot, attempt):
+        accepted = attempt()
+        events.append(("try", slot, accepted is not None))
+        return accepted
+
+    def traced(self, n_cap):
+        for n, sequence, witness, below, attempt in stream(self, n_cap):
+            events.append(("slot", (n, sequence)))
+            if attempt is not None:
+                attempt = partial(tried, (n, sequence), attempt)
+            yield n, sequence, witness, below, attempt
+
+    monkeypatch.setattr(certificates._CosSystem, "stream", traced)
+    result = check_certificate(forged)
+    assert (result.ok, result.reason) == (False, "not the canonical certificate for this claim")
+    tries = [(i, event) for i, event in enumerate(events) if event[0] == "try"]
+    assert all(events[i - 1] == ("slot", event[1]) for i, event in tries)
+    assert [event[1] for _, event in tries] == [
+        (10, SequenceId.I), (11, SequenceId.I), (11, SequenceId.J), (11, SequenceId.K),
+        (12, SequenceId.I), (14, SequenceId.L),
+    ]
 
 
 # a deep-band cos claim (n = 133) whose check keeps earlier failed attempts

@@ -304,7 +304,7 @@ def _reference_attempt(s: Fraction, q: int, u: int, v: int, start_width: Fractio
     reference enclosure at each width, tested with the strict (-1, 1)."""
     qu, qv = q * u, q * v
     width = start_width / max(1, 2 * abs(qv))
-    for _ in range(certificates._MAX_SUBSET_HALVINGS):
+    while True:
         cos_iv = _reference_even_series(s, 0, width)
         value_iv = cos_iv.scale(qv).translate(qu)
         if value_iv.lo > -1 and value_iv.hi < 1:
@@ -313,7 +313,6 @@ def _reference_attempt(s: Fraction, q: int, u: int, v: int, start_width: Fractio
         if value_iv.lo >= 1 or value_iv.hi <= -1:
             return None
         width /= 2
-    return None
 
 
 def _cos_engine(s: Fraction, q: int, start_width: Fraction):
@@ -321,9 +320,7 @@ def _cos_engine(s: Fraction, q: int, start_width: Fraction):
 
 
 def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: Fraction):
-    """The attempt's result (q = 1) and the number of distinct widths it
-    tried (a success asks for its last width twice, the second time for the
-    Fraction record)."""
+    """The attempt's result (q = 1) and the number of widths it tried."""
     engine, widths = _cos_engine(s, 1, start_width), []
     window = enclosure.Series.window
 
@@ -333,7 +330,7 @@ def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: F
 
     with monkeypatch.context() as patch:
         patch.setattr(enclosure.Series, "window", recorded)
-        return engine._attempt(u, v), len(set(widths))
+        return engine._attempt(u, v), len(widths)
 
 
 def _edge_case(s: Fraction, v: int, edge: int, at_hi: bool, width: Fraction):
@@ -369,6 +366,36 @@ class TestCosAttemptAgainstReference:
         width = Fraction(1, 2**e)
         for u, v in ((u, v), (-u, -v)):
             assert _cos_engine(s, q, width)._attempt(u, v) == _reference_attempt(s, q, u, v, width)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        s=st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 9)),
+        digits=st.integers(170, 200),
+        e=st.integers(0, 8),
+    )
+    def test_values_near_one_are_decided(self, s, digits, e):
+        # P / v is the best approximation of cos r with v <= 10**digits, so
+        # u + v cos r = edge + (v cos r - P) sits within about 10**-digits of
+        # +-1, more than 512 halvings below the value window's start width of
+        # about 2**-(e+1).  Each attempt is decided all the same, as mpmath
+        # decides it
+        cos_lo = _reference_even_series(s, 0, Fraction(1, 2 ** (8 * digits + 80))).lo
+        approx = cos_lo.limit_denominator(10**digits)
+        width, mpf = Fraction(1, 2**e), mpmath.mpmathify
+        with mpmath.workdps(4 * digits):
+            cos_r = _reference(Func.COS_FROM_S, s)
+            for edge in (1, -1):
+                u, v = edge - approx.numerator, approx.denominator
+                for u, v in ((u, v), (-u, -v)):
+                    value = u + v * cos_r
+                    gap = abs(abs(value) - 1)
+                    assert mpf(10) ** (-3 * digits) < gap < mpf(2) ** -(e + 530)
+                    accepted = _cos_engine(s, 1, width)._attempt(u, v)
+                    assert (accepted is not None) == (abs(value) < 1)
+                    if accepted is not None:
+                        bound, (record,) = accepted
+                        assert abs(value) <= mpf(bound) < 1
+                        assert mpf(record.lo) <= cos_r <= mpf(record.hi)
 
     @pytest.mark.parametrize("s", [Fraction(1), Fraction(-4), Fraction(49, 9)])
     @pytest.mark.parametrize("edge", [1, -1])
