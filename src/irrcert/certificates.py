@@ -254,11 +254,12 @@ def _indices(n_cap: Optional[int]) -> Iterable[int]:
 # ``witness`` is the integer the claim forces at the slot, ``below`` whether
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
 # returns (bound, enclosures), or None when the slot's true value is provably
-# outside (-1, 1) (three-term attempts always succeed).  The attempt of a
-# slot that is below 1 holds that slot's numbers and stays valid after the
-# stream moves on, so the checker can keep it; any other attempt is valid
-# only at its slot.  A cos slot whose gate is not below 1 has no
-# witness and no attempt (both None).  An engine streams once.
+# outside (-1, 1) (three-term attempts always succeed).  Whether an attempt
+# succeeds is fixed by its slot, so the checker may keep an attempt and try
+# it after the stream moves on; the numbers it returns are the slot's only
+# while the stream is at that slot.  A cos attempt holds its own u and v.
+# A cos slot whose gate is not below 1 has no witness and no attempt (both
+# None).  An engine streams once.
 # --------------------------------------------------------------------------
 
 class _ThreeTerm:
@@ -272,19 +273,15 @@ class _ThreeTerm:
         self.witnesses, self.bound, self.enclosures = witnesses, bound, enclosures
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
-        bound, witnesses, accept, live = self.bound, self.witnesses, self._accept, self._accept_live
+        bound, witnesses, accept = self.bound, self.witnesses, self._accept
         for n in _indices(n_cap):
             if n:
                 bound.step()
-            num, den = bound.num, bound.den
-            below = num < den  # bound < 1, without below_one's multiplications by 1
-            yield n, None, next(witnesses), below, partial(accept, num, den) if below else live
+            # bound < 1, without below_one's multiplications by 1
+            yield n, None, next(witnesses), bound.num < bound.den, accept
 
-    def _accept(self, num: int, den: int) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
-        return Fraction(num, den), self.enclosures
-
-    def _accept_live(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
-        return self._accept(self.bound.num, self.bound.den)
+    def _accept(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
+        return Fraction(self.bound.num, self.bound.den), self.enclosures
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         return self.bound.inconclusive(n_cap)
@@ -432,12 +429,11 @@ class _CosSystem:
         for n in _indices(n_cap):
             if n:
                 gate.step()
-            values = next(tracks)
+            pairs = next(tracks)
             # no gate is below 1 while the one with the least weight is not
             open_ = gate.below_one(least)
-            for k, seq_id in enumerate(_COS_SEQUENCE_ORDER):
-                if open_ and gate.below_one(weights[k]):
-                    u, v = values[2 * k], values[2 * k + 1]
+            for seq_id, weight, (u, v) in zip(_COS_SEQUENCE_ORDER, weights, pairs):
+                if open_ and gate.below_one(weight):
                     yield n, seq_id, q * u + p * v, True, partial(self._attempt, u, v)
                 else:
                     yield n, seq_id, None, False, None

@@ -230,9 +230,9 @@ def _symbolic_value(family: IntegrandFamily, n: int, r: Fraction, width: Fractio
             Fraction(next(islice(track(a, b, x, y), n, None)), b ** n) for x, y in ((1, 0), (0, 1))
         )
     else:
-        values = next(islice(cos_track(a * a, b * b), n, None))
-        i = 2 * "IJKL".index(family.value.split("-")[1])
-        u_val, v_val = (Fraction(w, (b * b) ** (2 * n + 1)) for w in values[i:i + 2])
+        pairs = next(islice(cos_track(a * a, b * b), n, None))
+        pair = pairs["IJKL".index(family.value.split("-")[1])]
+        u_val, v_val = (Fraction(w, (b * b) ** (2 * n + 1)) for w in pair)
     if family is IntegrandFamily.SIN_KERNEL:
         cos_mid = _scaled_midpoint(Func.COS, r, width, u_val)
         sin_mid = _scaled_midpoint(Func.SIN, r, width, v_val)

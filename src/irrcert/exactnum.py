@@ -170,18 +170,8 @@ class RatInterval:
             return RatInterval(self.lo * c, self.hi * c)
         return RatInterval(self.hi * c, self.lo * c)
 
-    def translate(self, c: Fraction) -> "RatInterval":
-        c = Fraction(c)
-        return RatInterval(self.lo + c, self.hi + c)
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -192,15 +182,12 @@ class RatInterval:
             return Fraction(0)
         return min(abs(self.lo), abs(self.hi))
 
-    def max_abs(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
 
-
-def sqrt_bounds(x: Fraction, bits: int = 64) -> RatInterval:
+def sqrt_bounds(x: Fraction) -> RatInterval:
     """Rational lo <= sqrt(x) <= hi for x >= 0, exact for perfect squares.
 
-    Inexact case: floor/ceiling of sqrt(x) on the 2**-bits grid, so
-    hi - lo == 2**-bits and hi*hi > x >= lo*lo.
+    Inexact case: floor/ceiling of sqrt(x) on the 2**-64 grid, so
+    hi - lo == 2**-64 and hi*hi > x >= lo*lo.
     """
     x = Fraction(x)
     if x < 0:
@@ -210,9 +197,5 @@ def sqrt_bounds(x: Fraction, bits: int = 64) -> RatInterval:
     if num_root * num_root == x.numerator and den_root * den_root == x.denominator:
         exact = Fraction(num_root, den_root)
         return RatInterval(exact, exact)
-    scale = 1 << (2 * bits)
-    floor_scaled = (x.numerator * scale) // x.denominator
-    root = isqrt(floor_scaled)
-    lo = Fraction(root, 1 << bits)
-    hi = Fraction(root + 1, 1 << bits)
-    return RatInterval(lo, hi)
+    root = isqrt((x.numerator << 128) // x.denominator)
+    return RatInterval(Fraction(root, 1 << 64), Fraction(root + 1, 1 << 64))

