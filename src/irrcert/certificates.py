@@ -16,9 +16,12 @@ rigorously bounded sub-unit window:
 
 Searches work on integers at the claim point: the witness at each index
 comes from a scalar recurrence track (``recurrences.*_track``), and each bound
-is a ratio start * ratio**n / n! updated one step at a time and compared with
-1 by integer cross-multiplication.  No polynomial is built; the same tracks
-on ``IntPoly`` serve ``irrcert table`` and the identity tests.
+is a ratio start * ratio**n / n! compared with 1 by integer
+cross-multiplication.  While a bound is not below 1 no slot can certify, so
+the bound jumps in closed form to the index where it crosses 1 and the track
+is advanced to it without yielding a slot; past the crossing both step one
+index at a time.  No polynomial is built; the same tracks on ``IntPoly``
+serve ``irrcert table`` and the identity tests.
 
 One kind table (``_KINDS``) gives each of the nine kinds its mode, engine,
 argument (t, s = t**2 or none) and, for the squared-trig kinds, the map
@@ -43,9 +46,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import count
-from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple, Union
+from itertools import islice
+from math import factorial, lgamma, log
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .enclosure import EnclosureRequest, Func, enclose, even_series, exp_upper_bound
 from .exactnum import RatInterval, format_rational, sqrt_bounds
@@ -201,11 +204,12 @@ def _sqrt_record(x: Fraction) -> Tuple[Fraction, EnclosureRecord]:
 
 
 class _Decay:
-    """The bound start * ratio**n / n!, stepped one index at a time.
+    """The bound start * ratio**n / n! at an index n.
 
-    It is kept as an unreduced integer pair num/den and compared with 1 by
-    cross-multiplication; a Fraction is built only for a value that leaves
-    the search.
+    It is kept as the unreduced integer pair num/den = start_num * rn**n over
+    start_den * rd**n * n!, whether reached by ``step`` or by ``seek``, and
+    compared with 1 by cross-multiplication; a Fraction is built only for a
+    value that leaves the search.
     """
 
     __slots__ = ("start", "ratio", "ratio_num", "ratio_den", "num", "den", "n")
@@ -222,6 +226,50 @@ class _Decay:
         self.num *= self.ratio_num
         self.den *= self.ratio_den * n
 
+    def _pair(self, m: int) -> Tuple[int, int]:
+        """(num, den) at index m, in closed form: the pair stepping builds."""
+        start = self.start
+        return (start.numerator * self.ratio_num ** m,
+                start.denominator * self.ratio_den ** m * factorial(m))
+
+    def seek(self, weight: Fraction, limit: int) -> None:
+        """Jump to the first index in (n, limit] where bound * weight < 1, or
+        to limit if there is none; bound * weight must not be below 1 at n.
+
+        The step factor ratio/m falls with m, so the bound rises to its peak
+        at m = floor(ratio) and falls after; an index past n that is below 1
+        lies past the peak, and so does every later one.  The test is thus
+        false and then true for good on (n, limit], and integer probes find
+        the switch.  A float guess g only places the first probes, at g and
+        g - 1, which decide it whenever g is right."""
+        wn, wd = weight.numerator, weight.denominator
+        pairs = {}
+
+        def below(m: int) -> bool:
+            num, den = pairs[m] = self._pair(m)
+            return num * wn < den * wd
+
+        n = self.n
+        guess = min(limit, max(n + 1, self._guess(weight, limit)))
+        if not below(guess):
+            m = min(limit, _first_true(below, guess, limit + 1))
+        elif guess - 1 > n and below(guess - 1):
+            m = _first_true(below, n, guess - 1)
+        else:
+            m = guess
+        self.n = m
+        self.num, self.den = pairs[m]
+
+    def _guess(self, weight: Fraction, limit: int) -> int:
+        """The same switch as ``seek`` finds, on the float logarithm
+        log(start * weight) + m log(ratio) - lgamma(m + 1); it may be off."""
+        start = self.start
+        log_start = (log(start.numerator * weight.numerator)
+                     - log(start.denominator * weight.denominator))
+        log_ratio = log(self.ratio_num) - log(self.ratio_den)
+        return _first_true(lambda m: log_start + m * log_ratio < lgamma(m + 1),
+                           self.n, limit + 1)
+
     def below_one(self, weight: Fraction) -> bool:
         """Whether bound * weight < 1."""
         return self.num * weight.numerator < self.den * weight.denominator
@@ -232,9 +280,9 @@ class _Decay:
     def inconclusive(
         self, n_cap: int, weight: Fraction = Fraction(1), peak_weight: Fraction = Fraction(1)
     ) -> InconclusiveError:
-        """The diagnostic after stepping to n_cap.  The step factor ratio/n
-        falls with n, so the bound rises while it is >= 1 and falls after:
-        the largest bound up to n_cap is the one at m = min(n_cap, ratio)."""
+        """The diagnostic after reaching n_cap.  The bound rises while the
+        step factor ratio/n is >= 1 and falls after: the largest bound up to
+        n_cap is the one at m = min(n_cap, ratio)."""
         if n_cap < 0:
             return InconclusiveError(n_cap, None, None)
         m = min(n_cap, self.ratio_num // self.ratio_den)
@@ -242,9 +290,43 @@ class _Decay:
         return InconclusiveError(n_cap, self.value(weight), peak * peak_weight)
 
 
-def _indices(n_cap: Optional[int]) -> Iterable[int]:
-    """The indices a stream visits: 0 to n_cap, or without end for None."""
-    return count() if n_cap is None else range(n_cap + 1)
+def _first_true(test: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least m in (lo, hi] with test(m), by bisection, for a test that
+    is false at lo and stays true once true; hi itself is never tested."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _visits(
+    decay: _Decay, weight: Fraction, track: Iterator, n_cap: Optional[int]
+) -> Iterator[tuple]:
+    """(n, below, next value of track) at every index from 0 to n_cap (without
+    end for None) where below, that is decay * weight < 1, holds, and at n_cap;
+    decay is at n while its tuple is out.
+
+    From an index that is not below, decay seeks the next that is, and the
+    track is advanced to it unread.  A seek goes at most to 2 n + 64 (and to
+    n_cap), as the closed form's factorial grows with its index: a crossing
+    far away is reached in strides, each at most doubling the index."""
+    if n_cap is not None and n_cap < 0:
+        return
+    while True:
+        n = decay.n
+        below = decay.below_one(weight)
+        if below or n == n_cap:
+            yield n, below, next(track)
+            if n == n_cap:
+                return
+            decay.step()
+        else:
+            decay.seek(weight, 2 * n + 64 if n_cap is None else min(2 * n + 64, n_cap))
+            skipped = decay.n - n
+            next(islice(track, skipped, skipped), None)
 
 
 # --------------------------------------------------------------------------
@@ -254,12 +336,14 @@ def _indices(n_cap: Optional[int]) -> Iterable[int]:
 # ``witness`` is the integer the claim forces at the slot, ``below`` whether
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
 # returns (bound, enclosures), or None when the slot's true value is provably
-# outside (-1, 1) (three-term attempts always succeed).  Whether an attempt
-# succeeds is fixed by its slot, so the checker may keep an attempt and try
-# it after the stream moves on; the numbers it returns are the slot's only
-# while the stream is at that slot.  A cos attempt holds its own u and v.
-# A cos slot whose gate is not below 1 has no witness and no attempt (both
-# None).  An engine streams once.
+# outside (-1, 1) (three-term attempts always succeed).  A stream yields every
+# candidate slot and every slot at n_cap, and may skip the slots whose bound
+# (or whose gate at the least weight) is not below 1; it yields the slots it
+# does not skip in order.  Whether an attempt succeeds is fixed by its slot,
+# so the checker may keep an attempt and try it after the stream moves on;
+# the numbers it returns are the slot's only while the stream is at that
+# slot.  A cos attempt holds its own u and v.  A cos slot whose gate is not
+# below 1 has no witness and no attempt (both None).  An engine streams once.
 # --------------------------------------------------------------------------
 
 class _ThreeTerm:
@@ -273,12 +357,9 @@ class _ThreeTerm:
         self.witnesses, self.bound, self.enclosures = witnesses, bound, enclosures
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
-        bound, witnesses, accept = self.bound, self.witnesses, self._accept
-        for n in _indices(n_cap):
-            if n:
-                bound.step()
-            # bound < 1, without below_one's multiplications by 1
-            yield n, None, next(witnesses), bound.num < bound.den, accept
+        accept = self._accept
+        for n, below, witness in _visits(self.bound, Fraction(1), self.witnesses, n_cap):
+            yield n, None, witness, below, accept
 
     def _accept(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
         return Fraction(self.bound.num, self.bound.den), self.enclosures
@@ -410,6 +491,7 @@ class _CosSystem:
         self.p, self.q = claim.value.numerator, claim.value.denominator
         self.s, self.width = s, width
         self.cos = even_series(s, 0)
+        self.last = None  # the last (lo, hi, den) the series returned
         root_hi = sqrt_bounds(abs(s)).hi
         # the tail bound of the sequence with weight power k is
         # weights[k] * (s**2/4)**n / n! for s > 0, and
@@ -424,14 +506,9 @@ class _CosSystem:
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
         p, q, gate, weights = self.p, self.q, self.gate, self.weights
-        least = min(weights)
         tracks = cos_track(self.s.numerator, self.s.denominator)
-        for n in _indices(n_cap):
-            if n:
-                gate.step()
-            pairs = next(tracks)
-            # no gate is below 1 while the one with the least weight is not
-            open_ = gate.below_one(least)
+        # no gate is below 1 while the one with the least weight is not
+        for n, open_, pairs in _visits(gate, min(weights), tracks, n_cap):
             for seq_id, weight, (u, v) in zip(_COS_SEQUENCE_ORDER, weights, pairs):
                 if open_ and gate.below_one(weight):
                     yield n, seq_id, q * u + p * v, True, partial(self._attempt, u, v)
@@ -447,16 +524,24 @@ class _CosSystem:
         (halve the width).  The true value is never +-1 (for v != 0 that is
         the irrationality of cos r; for v = 0 the window is the point q u),
         so the halvings end.  Returns (bound, (cos enclosure record,)), both
-        read off the deciding window, if inside; None if outside."""
+        read off the deciding window, if inside; None if outside.
+
+        Every window is rigorous, so a value window outside (-1, 1) on any of
+        them shows that the attempt fails: the last window the series
+        returned is tried first, and only an attempt it does not settle sums
+        at the canonical widths, which alone fix the record and bound."""
         qu, qv = self.q * u, self.q * v
+        if self.last is not None:
+            low, high, den = self._value_window(qu, qv, self.last)
+            if low >= den or high <= -den:
+                return None
         # a width-w cos enclosure becomes a value window of width w |q v|, so
         # divide the coefficient out up front; the halvings below then only fire
         # when the true value sits within the start width of the unit boundary
         width = self.width / max(1, 2 * abs(qv))
         while True:
-            lo, hi, den = self.cos.window(width)
-            centre = qu * den  # the value window is [low / den, high / den]
-            low, high = sorted((centre + qv * lo, centre + qv * hi))
+            self.last = lo, hi, den = self.cos.window(width)
+            low, high, den = self._value_window(qu, qv, self.last)
             if -den < low and high < den:
                 record = EnclosureRecord(Func.COS_FROM_S.value, self.s, Fraction(lo, den),
                                          Fraction(hi, den))
@@ -464,6 +549,15 @@ class _CosSystem:
             if low >= den or high <= -den:
                 return None
             width /= 2
+
+    @staticmethod
+    def _value_window(qu: int, qv: int, window: Tuple[int, int, int]) -> Tuple[int, int, int]:
+        """(low, high, den): q (u + v cos r) lies in [low / den, high / den]
+        when cos r lies in the window [lo / den, hi / den]."""
+        lo, hi, den = window
+        centre = qu * den
+        low, high = sorted((centre + qv * lo, centre + qv * hi))
+        return low, high, den
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
