@@ -1,5 +1,6 @@
 """Exact-arithmetic refutation certificates for rational claims about
-tan, cos, exp and pi, with an independent checker and a quadrature oracle."""
+tan, cos, exp and pi, with an independent checker.  The root holds the
+certificate API; the building blocks are imported from their own modules."""
 
 from .certificates import (
     Certificate,
@@ -21,31 +22,6 @@ from .certificates import (
     refute,
     to_canonical_json,
 )
-from .enclosure import (
-    EnclosureRequest,
-    Func,
-    TailBoundSpec,
-    TailKernel,
-    enclose,
-    tail_bound,
-)
-from .exactnum import (
-    DegreeBoundError,
-    IntPoly,
-    RatInterval,
-    format_rational,
-    parse_rational,
-    sqrt_bounds,
-)
-from .oracle import IntegrandFamily, IntegrandSpec, integrate
-from .recurrences import (
-    CosSystemState,
-    SequencePair,
-    cos_system,
-    exp_sequence,
-    pi_sequence,
-    tan_sequence,
-)
 
 __version__ = "0.1.0"
 
@@ -54,39 +30,18 @@ __all__ = [
     "CheckResult",
     "Claim",
     "ClaimKind",
-    "CosSystemState",
     "DegenerateClaimError",
-    "DegreeBoundError",
     "EnclosureRecord",
-    "EnclosureRequest",
-    "Func",
     "InconclusiveError",
-    "IntegrandFamily",
-    "IntegrandSpec",
-    "IntPoly",
     "NegativeSquareUnsupportedError",
-    "RatInterval",
     "RefutationError",
     "RefutationMode",
     "SequenceId",
-    "SequencePair",
     "SinZeroUnresolvedError",
-    "TailBoundSpec",
-    "TailKernel",
     "TransformRecord",
     "certificate_from_json",
     "certificate_to_jsonable",
     "check_certificate",
-    "cos_system",
-    "enclose",
-    "exp_sequence",
-    "format_rational",
-    "integrate",
-    "parse_rational",
-    "pi_sequence",
     "refute",
-    "sqrt_bounds",
-    "tail_bound",
-    "tan_sequence",
     "to_canonical_json",
 ]

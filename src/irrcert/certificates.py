@@ -285,8 +285,7 @@ class _Decay:
         n_cap is the one at m = min(n_cap, ratio)."""
         if n_cap < 0:
             return InconclusiveError(n_cap, None, None)
-        m = min(n_cap, self.ratio_num // self.ratio_den)
-        peak = self.start * self.ratio ** m / factorial(m)
+        peak = Fraction(*self._pair(min(n_cap, self.ratio_num // self.ratio_den)))
         return InconclusiveError(n_cap, self.value(weight), peak * peak_weight)
 
 
@@ -734,14 +733,11 @@ def check_certificate(
     problem = _check_structure(cert)
     if problem is not None:
         return CheckResult(False, problem)
-    try:
-        claim, transform = _delegate(cert.claim)
-    except RefutationError as exc:
-        return CheckResult(False, f"claim rejected on replay: {exc}")
-    if cert.transform != transform:
-        return CheckResult(False, "transform mismatch")
     kind = _KINDS[cert.claim.kind]
     try:
+        claim, transform = _delegate(cert.claim)
+        if cert.transform != transform:
+            return CheckResult(False, "transform mismatch")
         engine = kind.engine(claim, width)
     except RefutationError as exc:
         return CheckResult(False, f"claim rejected on replay: {exc}")

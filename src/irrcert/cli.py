@@ -4,7 +4,7 @@ oracle.
 
 Exit codes are a stable contract:
   0  success
-  1  usage or parse error (message on stderr)
+  1  usage or parse error, or zero-exclusion failure (message on stderr)
   2  degenerate or unsupported claim
   3  inconclusive search (diagnostic JSON on stderr)
   4  invalid certificate
