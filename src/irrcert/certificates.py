@@ -50,7 +50,7 @@ from itertools import islice
 from math import factorial, lgamma, log
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
-from .enclosure import EnclosureRequest, Func, enclose, even_series, exp_upper_bound
+from .enclosure import Func, enclose, even_series, exp_upper_bound
 from .exactnum import RatInterval, format_rational, sqrt_bounds
 from .recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
@@ -97,6 +97,7 @@ class Claim:
 
 
 class SequenceId(Enum):
+    # definition order is the cos system's order: sequence k has weight z**k
     I = "I"
     J = "J"
     K = "K"
@@ -192,7 +193,7 @@ def _enclosure_away_from_zero(
     interval no longer straddles zero."""
     for halvings in range(_MAX_ZERO_EXCLUSION_HALVINGS):
         width = start_width / 2**halvings
-        iv = enclose(EnclosureRequest(fn, arg, width))
+        iv = enclose(fn, arg, width)
         if not iv.contains_zero():
             return iv, EnclosureRecord(fn.value, arg, iv.lo, iv.hi)
     raise SinZeroUnresolvedError(f"{fn.value}({arg}) not separable from zero at width {width}")
@@ -474,10 +475,6 @@ def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # claim; enclosing cos r from s makes the true value's window exact.
 # --------------------------------------------------------------------------
 
-# sequence k of this order has weight power k
-_COS_SEQUENCE_ORDER = (SequenceId.I, SequenceId.J, SequenceId.K, SequenceId.L)
-
-
 class _CosSystem:
     """One cos claim on the I/J/K/L system: at each index the four sequences
     in order, each attempted once its decay gate times its weight is below 1,
@@ -508,7 +505,7 @@ class _CosSystem:
         tracks = cos_track(self.s.numerator, self.s.denominator)
         # no gate is below 1 while the one with the least weight is not
         for n, open_, pairs in _visits(gate, min(weights), tracks, n_cap):
-            for seq_id, weight, (u, v) in zip(_COS_SEQUENCE_ORDER, weights, pairs):
+            for seq_id, weight, (u, v) in zip(SequenceId, weights, pairs):
                 if open_ and gate.below_one(weight):
                     yield n, seq_id, q * u + p * v, True, partial(self._attempt, u, v)
                 else:
@@ -584,7 +581,6 @@ class _Kind(NamedTuple):
     """What the kind table knows of a claim kind before seeing a claim."""
 
     mode: RefutationMode
-    sequenced: bool  # certificates name an I/J/K/L sequence
     engine: Callable[[Claim, Fraction], _Engine]
     arg: Optional[str]  # the argument: "t", "s" = t**2, or None
     # squared-trig kinds only: the claimed value mapped to the value of cos 2r
@@ -594,15 +590,15 @@ class _Kind(NamedTuple):
 _NONZERO, _POSITIVE = RefutationMode.NONZERO_SQUEEZE, RefutationMode.POSITIVE_SQUEEZE
 
 _KINDS = {
-    ClaimKind.TAN: _Kind(_NONZERO, False, _tan_engine, "t"),
-    ClaimKind.TAN_RATIO: _Kind(_NONZERO, False, _tan_ratio_engine, "s"),
-    ClaimKind.PI: _Kind(_POSITIVE, False, _pi_engine, None),
-    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, False, _pi_squared_engine, None),
-    ClaimKind.EXP: _Kind(_POSITIVE, False, _exp_engine, "t"),
-    ClaimKind.COS: _Kind(_NONZERO, True, _CosSystem, "s"),
-    ClaimKind.SIN_SQ: _Kind(_NONZERO, True, _CosSystem, "s", lambda value: 1 - 2 * value),
-    ClaimKind.COS_SQ: _Kind(_NONZERO, True, _CosSystem, "s", lambda value: 2 * value - 1),
-    ClaimKind.TAN_SQ: _Kind(_NONZERO, True, _CosSystem, "s", _tan_sq_to_cos),
+    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t"),
+    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s"),
+    ClaimKind.PI: _Kind(_POSITIVE, _pi_engine, None),
+    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None),
+    ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t"),
+    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s"),
+    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 1 - 2 * value),
+    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 2 * value - 1),
+    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _tan_sq_to_cos),
 }
 
 
@@ -660,14 +656,17 @@ def refute(
 # --------------------------------------------------------------------------
 
 def _check_structure(cert: Certificate) -> Optional[str]:
+    if type(cert.n) is not int:
+        return "malformed: index n must be an integer"
     if cert.n < 0:
         return f"malformed: negative index n={cert.n}"
     kind = _KINDS[cert.claim.kind]
     if cert.mode is not kind.mode:
         return f"mode mismatch: {cert.claim.kind.value} requires {kind.mode.value}"
-    if kind.sequenced and cert.sequence is None:
+    sequenced = kind.engine is _CosSystem  # certificates name an I/J/K/L sequence
+    if sequenced and cert.sequence is None:
         return "malformed: missing sequence id"
-    if not kind.sequenced and cert.sequence is not None:
+    if not sequenced and cert.sequence is not None:
         return "malformed: unexpected sequence id"
     if (cert.transform is None) != (kind.to_cos is None):
         return "malformed: transform record does not match claim kind"

@@ -36,9 +36,9 @@ from .certificates import (
     refute,
     to_canonical_json,
 )
-from .enclosure import EnclosureRequest, Func, enclose
+from .enclosure import Func, enclose
 from .exactnum import format_rational, parse_rational
-from .oracle import IntegrandFamily, IntegrandSpec, integrate
+from .oracle import IntegrandFamily, integrate
 from .recurrences import (
     cos_system, cos_track, exp_sequence, exp_track, pi_sequence, tan_sequence, tan_track,
 )
@@ -218,7 +218,7 @@ def _scaled_midpoint(fn: Func, arg: Fraction, width: Fraction, scale: Fraction) 
     # integral shrinks, so shrink the enclosure width by the coefficient to
     # keep the product error at the requested width
     effective = width / max(1, 2 * abs(scale))
-    return enclose(EnclosureRequest(fn, arg, effective)).midpoint()
+    return enclose(fn, arg, effective).midpoint()
 
 
 def _symbolic_value(family: IntegrandFamily, n: int, r: Fraction, width: Fraction) -> Fraction:
@@ -246,19 +246,15 @@ def _cmd_oracle_check(args, parser: _Parser) -> int:
         parser.error("--r must be positive")
     if args.n < 0:
         parser.error("--n must be nonnegative")
+    family = IntegrandFamily(args.family)
     try:
-        spec = IntegrandSpec(
-            family=IntegrandFamily(args.family),
-            n=args.n,
-            r=args.r,
-            subdivisions=args.subdivisions,
-            precision_bits=args.precision_bits,
+        estimate, error_estimate = integrate(
+            family, args.n, args.r, args.subdivisions, args.precision_bits
         )
     except ValueError as exc:
         parser.error(str(exc))
-    estimate, error_estimate = integrate(spec)
     width = Fraction(1, 2 ** args.precision_bits)
-    symbolic = _symbolic_value(spec.family, args.n, args.r, width)
+    symbolic = _symbolic_value(family, args.n, args.r, width)
     difference = abs(symbolic - estimate)
     sys.stdout.write(f"symbolic: {format_decimal(symbolic, 40)}\n")
     sys.stdout.write(f"oracle: {format_decimal(estimate, 40)}\n")

@@ -19,12 +19,11 @@ Remainder bounds used (the first omitted term times a growth factor):
 A ``Series`` sums one of them forward over one common integer denominator:
 a finer width resumes from the term count reached, a wider one starts over,
 so the enclosure at a width never depends on the widths asked before.
-``enclose()`` builds a fresh series for each request.
+``enclose()`` builds a fresh series for each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import ceil, factorial, isqrt, prod
@@ -39,19 +38,6 @@ class Func(Enum):
     EXP = "exp"
     COS_FROM_S = "cos_from_s"
     SINC_FROM_S = "sinc_from_s"
-
-
-@dataclass(frozen=True)
-class EnclosureRequest:
-    function: Func
-    argument: Fraction
-    target_width: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "argument", Fraction(self.argument))
-        object.__setattr__(self, "target_width", Fraction(self.target_width))
-        if self.target_width <= 0:
-            raise ValueError("target width must be positive")
 
 
 class Series:
@@ -122,9 +108,11 @@ def even_series(s: Fraction, delta: int) -> Series:
     return Series(-s, 2, delta, start, 1)
 
 
-def enclose(req: EnclosureRequest) -> RatInterval:
-    """Interval provably containing the requested value, width <= target."""
-    fn, x, w = req.function, req.argument, req.target_width
+def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
+    """Interval provably containing fn(x), of width at most ``width``."""
+    x, w = Fraction(x), Fraction(width)
+    if w <= 0:
+        raise ValueError("target width must be positive")
     if fn is Func.EXP:
         return Series(x, 1, 0, 0, 3 ** ceil(abs(x))).enclose(w)
     if fn is Func.COS_FROM_S:
@@ -152,44 +140,31 @@ class TailKernel(Enum):
 _UPPER_BOUND_WIDTH = Fraction(1, 1 << 16)
 
 
-@dataclass(frozen=True)
-class TailBoundSpec:
-    kernel: TailKernel
-    r_or_s: Fraction
-    n: int
-    k: int = 0  # weight power z**k, cos system only
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_or_s", Fraction(self.r_or_s))
-        if self.n < 0:
-            raise ValueError("index n must be nonnegative")
-        if self.kernel is TailKernel.COS_SYSTEM:
-            if self.k not in (0, 1, 2, 3):
-                raise ValueError("cos-system weight power must be 0..3")
-        elif self.k != 0:
-            raise ValueError("weight power only applies to the cos system")
-
-
 def exp_upper_bound(x: Fraction) -> Fraction:
     """Deterministic rational upper bound on e**x (also >= cosh x for x >= 0)."""
-    return enclose(EnclosureRequest(Func.EXP, x, _UPPER_BOUND_WIDTH)).hi
+    return enclose(Func.EXP, x, _UPPER_BOUND_WIDTH).hi
 
 
-def tail_bound(spec: TailBoundSpec) -> Fraction:
+def tail_bound(kernel: TailKernel, r_or_s: Fraction, n: int, k: int = 0) -> Fraction:
     """Rational bound with |integral_n| <= tail_bound, from the pointwise
-    maximum of the kernel times the interval length times a weight bound."""
-    n, k = spec.n, spec.k
-    if spec.kernel is TailKernel.SIN_KERNEL:
-        r = spec.r_or_s
+    maximum of the kernel times the interval length times a weight bound
+    z**k (the cos system's weight power, 0..3; 0 for the other kernels)."""
+    r = s = Fraction(r_or_s)
+    if n < 0:
+        raise ValueError("index n must be nonnegative")
+    if kernel is TailKernel.COS_SYSTEM:
+        if k not in (0, 1, 2, 3):
+            raise ValueError("cos-system weight power must be 0..3")
+    elif k != 0:
+        raise ValueError("weight power only applies to the cos system")
+    if kernel is TailKernel.SIN_KERNEL:
         if r <= 0:
             raise ValueError("sin kernel requires r > 0")
         return r * (r * r / 4) ** n / factorial(n)
-    if spec.kernel is TailKernel.EXP_KERNEL:
-        r = spec.r_or_s
+    if kernel is TailKernel.EXP_KERNEL:
         if r <= 0:
             raise ValueError("exp kernel requires r > 0")
         return r * (r * r / 4) ** n / factorial(n) * exp_upper_bound(r)
-    s = spec.r_or_s
     if s == 0:
         raise ValueError("cos system requires s != 0")
     if s > 0:

@@ -16,18 +16,17 @@ Transcendental node values are generated incrementally (angle addition for
 sin/cos, repeated multiplication for exp) from one high-precision step value,
 so a full grid costs a few integer multiplications per node.  Repeated calls
 share node arrays through a small module cache; results are pure functions of
-the ``IntegrandSpec``.
+``integrate``'s arguments.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .enclosure import EnclosureRequest, Func, enclose
+from .enclosure import Func, enclose
 
 
 class IntegrandFamily(Enum):
@@ -37,26 +36,6 @@ class IntegrandFamily(Enum):
     COS_J = "cos-J"             # z   * kernel * cos(r - z)
     COS_K = "cos-K"             # z**2 * kernel * sin(r - z)
     COS_L = "cos-L"             # z**3 * kernel * cos(r - z)
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    family: IntegrandFamily
-    n: int
-    r: Fraction
-    subdivisions: int = 1 << 14
-    precision_bits: int = 256
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        if self.r <= 0:
-            raise ValueError("quadrature requires r > 0")
-        if self.n < 0:
-            raise ValueError("index n must be nonnegative")
-        if self.subdivisions < 2 or self.subdivisions % 2:
-            raise ValueError("subdivisions must be even and at least 2")
-        if self.precision_bits < 64:
-            raise ValueError("precision below 64 bits is refused")
 
 
 _cache_lock = threading.Lock()
@@ -78,9 +57,9 @@ def _step_values(r: Fraction, steps: int, prec: int) -> Tuple[int, int, int]:
     """Fixed-point sin, cos, exp of the node step h = r / steps."""
     h = r / steps
     width = Fraction(1, 1 << (prec + 8))
-    sin_h = _fixed_value(enclose(EnclosureRequest(Func.SIN, h, width)).midpoint(), prec)
-    cos_h = _fixed_value(enclose(EnclosureRequest(Func.COS, h, width)).midpoint(), prec)
-    exp_h = _fixed_value(enclose(EnclosureRequest(Func.EXP, h, width)).midpoint(), prec)
+    sin_h = _fixed_value(enclose(Func.SIN, h, width).midpoint(), prec)
+    cos_h = _fixed_value(enclose(Func.COS, h, width).midpoint(), prec)
+    exp_h = _fixed_value(enclose(Func.EXP, h, width).midpoint(), prec)
     return sin_h, cos_h, exp_h
 
 
@@ -145,15 +124,13 @@ def _kernel_power(r: Fraction, panels: int, prec: int, tag: str, n: int) -> List
     return power
 
 
-def _family_values(spec: IntegrandSpec) -> List[int]:
-    prec = spec.precision_bits
-    nodes = _nodes(spec.r, spec.subdivisions, prec)
-    fam = spec.family
+def _family_values(fam: IntegrandFamily, n: int, r: Fraction, panels: int, prec: int) -> List[int]:
+    nodes = _nodes(r, panels, prec)
     if fam in (IntegrandFamily.SIN_KERNEL, IntegrandFamily.EXP_KERNEL):
-        power = _kernel_power(spec.r, spec.subdivisions, prec, "quad", spec.n)
+        power = _kernel_power(r, panels, prec, "quad", n)
         trig = nodes["sin"] if fam is IntegrandFamily.SIN_KERNEL else nodes["exp"]
         return [(p * t) >> prec for p, t in zip(power, trig)]
-    power = _kernel_power(spec.r, spec.subdivisions, prec, "quart", spec.n)
+    power = _kernel_power(r, panels, prec, "quart", n)
     reversed_sin = nodes["sin"][::-1]
     reversed_cos = nodes["cos"][::-1]
     if fam is IntegrandFamily.COS_I:
@@ -179,16 +156,31 @@ def _simpson_sum(values: List[int], step: Fraction, prec: int) -> Fraction:
     return Fraction(weighted, 1 << prec) * step / 3
 
 
-def integrate(spec: IntegrandSpec) -> Tuple[Fraction, Fraction]:
+def integrate(
+    family: IntegrandFamily,
+    n: int,
+    r: Fraction,
+    subdivisions: int = 1 << 14,
+    precision_bits: int = 256,
+) -> Tuple[Fraction, Fraction]:
     """Return (estimate, error_estimate) for the family integral over [0, r].
 
     estimate: Richardson-extrapolated composite Simpson value;
     error_estimate: |S(subdivisions) - S(subdivisions/2)| of the plain sums.
     """
-    values = _family_values(spec)
-    h = spec.r / (2 * spec.subdivisions)
-    full = _simpson_sum(values, h, spec.precision_bits)
-    half = _simpson_sum(values[::2], 2 * h, spec.precision_bits)
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("quadrature requires r > 0")
+    if n < 0:
+        raise ValueError("index n must be nonnegative")
+    if subdivisions < 2 or subdivisions % 2:
+        raise ValueError("subdivisions must be even and at least 2")
+    if precision_bits < 64:
+        raise ValueError("precision below 64 bits is refused")
+    values = _family_values(family, n, r, subdivisions, precision_bits)
+    h = r / (2 * subdivisions)
+    full = _simpson_sum(values, h, precision_bits)
+    half = _simpson_sum(values[::2], 2 * h, precision_bits)
     error_estimate = abs(full - half)
     estimate = full + (full - half) / 15
     return estimate, error_estimate

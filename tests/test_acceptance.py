@@ -24,15 +24,13 @@ from irrcert.certificates import (
     to_canonical_json,
 )
 from irrcert.enclosure import (
-    EnclosureRequest,
     Func,
-    TailBoundSpec,
     TailKernel,
     enclose,
     tail_bound,
 )
 from irrcert.exactnum import IntPoly, sqrt_bounds
-from irrcert.oracle import IntegrandFamily, IntegrandSpec, integrate
+from irrcert.oracle import IntegrandFamily, integrate
 from irrcert.recurrences import (
     cos_system,
     descent_identity_check,
@@ -146,10 +144,9 @@ def oracle_grid():
     for family in IntegrandFamily:
         for r in ORACLE_RS:
             for n in range(ORACLE_N_MAX + 1):
-                spec = IntegrandSpec(
+                out[(family, r, n)] = integrate(
                     family=family, n=n, r=r, subdivisions=1 << 14, precision_bits=256
                 )
-                out[(family, r, n)] = integrate(spec)
     return out
 
 
@@ -157,7 +154,7 @@ def midpoint_for(fn: Func, arg: Fraction, scale: Fraction) -> Fraction:
     # width scaled down by the coefficient so the symbolic-side error stays
     # near 2**-256 even when huge polynomial values cancel
     width = F(1, 2 ** 256) / max(1, 2 * abs(scale))
-    return enclose(EnclosureRequest(fn, arg, width)).midpoint()
+    return enclose(fn, arg, width).midpoint()
 
 
 def symbolic_value(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
@@ -180,11 +177,11 @@ def symbolic_value(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
 
 def family_tail(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
     if family is IntegrandFamily.SIN_KERNEL:
-        return tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, r, n))
+        return tail_bound(TailKernel.SIN_KERNEL, r, n)
     if family is IntegrandFamily.EXP_KERNEL:
-        return tail_bound(TailBoundSpec(TailKernel.EXP_KERNEL, r, n))
+        return tail_bound(TailKernel.EXP_KERNEL, r, n)
     k = COS_WEIGHT[family.value.split("-")[1]]
-    return tail_bound(TailBoundSpec(TailKernel.COS_SYSTEM, r * r, n, k))
+    return tail_bound(TailKernel.COS_SYSTEM, r * r, n, k)
 
 
 def test_criterion_1_exact_identities():
@@ -351,34 +348,22 @@ def decay_bound(claim: Claim, cert, n: int) -> Fraction:
         kind = claim.kind
     if kind is ClaimKind.PI:
         r = claim.value
-        return r.denominator ** n * tail_bound(
-            TailBoundSpec(TailKernel.SIN_KERNEL, r, n)
-        )
+        return r.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, r, n)
     if kind is ClaimKind.PI_SQUARED:
         root_hi = sqrt_bounds(claim.value).hi
-        return claim.value.denominator ** n * tail_bound(
-            TailBoundSpec(TailKernel.SIN_KERNEL, root_hi, n)
-        )
+        return claim.value.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, root_hi, n)
     if kind is ClaimKind.TAN:
         r = 2 * abs(claim.arg)
-        return r.denominator ** n * tail_bound(
-            TailBoundSpec(TailKernel.SIN_KERNEL, r, n)
-        )
+        return r.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, r, n)
     if kind is ClaimKind.TAN_RATIO:
         root_hi = sqrt_bounds(4 * claim.arg).hi
-        return claim.arg.denominator ** n * tail_bound(
-            TailBoundSpec(TailKernel.SIN_KERNEL, root_hi, n)
-        )
+        return claim.arg.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, root_hi, n)
     if kind is ClaimKind.EXP:
         r = abs(claim.arg)
-        return r.denominator ** n * tail_bound(
-            TailBoundSpec(TailKernel.EXP_KERNEL, r, n)
-        )
+        return r.denominator ** n * tail_bound(TailKernel.EXP_KERNEL, r, n)
     s = claim.arg
     k = COS_WEIGHT[cert.sequence.value]
-    return s.denominator ** (2 * n + 1) * tail_bound(
-        TailBoundSpec(TailKernel.COS_SYSTEM, s, n, k)
-    )
+    return s.denominator ** (2 * n + 1) * tail_bound(TailKernel.COS_SYSTEM, s, n, k)
 
 
 def test_criterion_7_decay_reproduction():

@@ -273,6 +273,17 @@ class TestChecker:
         cos_cert = refute(Claim(ClaimKind.COS, F(1), F(1, 2)))
         assert not check_certificate(replace(cos_cert, sequence=None)).ok
 
+    # an index that is not an int must not reach the stream: True == 1 would
+    # replay as n = 1, and a float breaks the integer arithmetic
+    @pytest.mark.parametrize("claim, n", [
+        (Claim(ClaimKind.COS, F(1), F(1, 2)), True),
+        (Claim(ClaimKind.COS, F(1), F(1, 2)), 1.0),
+        (Claim(ClaimKind.PI, None, F(355, 113)), 755.0),
+    ])
+    def test_a_non_integer_index_is_malformed(self, claim, n):
+        cert = replace(refute(claim), n=n)
+        assert check_certificate(cert).reason == "malformed: index n must be an integer"
+
     def test_transform_mutations(self):
         cert = refute(Claim(ClaimKind.SIN_SQ, F(1), F(7, 10)))
         wrong_value = replace(

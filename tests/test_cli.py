@@ -337,9 +337,18 @@ class TestOracleCheck:
         )
         assert code == 1
 
+    def test_low_precision_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle-check", "--family", "sin-kernel", "--n", "0", "--r", "1",
+            "--precision-bits", "32",
+        )
+        assert code == 1 and out == ""
+        assert "precision below 64 bits is refused" in err
+
     def test_disagreement_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "integrate", lambda spec: (Fraction(1), Fraction(1, 10**30))
+            cli, "integrate", lambda *args: (Fraction(1), Fraction(1, 10**30))
         )
         code, out, _ = run(
             capsys,

@@ -14,9 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from test_acceptance import full_corpus
 
 from irrcert.enclosure import (
-    EnclosureRequest,
     Func,
-    TailBoundSpec,
     TailKernel,
     enclose,
     even_series,
@@ -64,45 +62,44 @@ class TestEnclose:
     @pytest.mark.parametrize("argument", GRID)
     @pytest.mark.parametrize("width", WIDTHS)
     def test_contains_reference_and_respects_width(self, function, argument, width):
-        iv = enclose(EnclosureRequest(function, argument, width))
+        iv = enclose(function, argument, width)
         assert iv.hi - iv.lo <= width
         ref = _reference(function, argument)
         assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= ref
         assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= ref
 
     def test_exp_at_one_contains_e(self):
-        iv = enclose(EnclosureRequest(Func.EXP, Fraction(1), Fraction(1, 10**12)))
+        iv = enclose(Func.EXP, Fraction(1), Fraction(1, 10**12))
         assert iv.hi - iv.lo <= Fraction(1, 10**12)
         e_ref = Fraction(2718281828459045235360287471352662497757, 10**39)
         assert iv.lo <= e_ref <= iv.hi
 
     def test_sin_at_zero_is_exact(self):
-        iv = enclose(EnclosureRequest(Func.SIN, Fraction(0), Fraction(1, 2**10)))
+        iv = enclose(Func.SIN, Fraction(0), Fraction(1, 2**10))
         assert iv.lo == iv.hi == 0
 
     def test_cos_from_s_hyperbolic_branch(self):
-        iv = enclose(EnclosureRequest(Func.COS_FROM_S, Fraction(-1), Fraction(1, 2**30)))
+        iv = enclose(Func.COS_FROM_S, Fraction(-1), Fraction(1, 2**30))
         cosh1 = Fraction(15430806348152437784779056, 10**25)
         assert iv.lo <= cosh1 <= iv.hi
 
     def test_request_validates_width(self):
         with pytest.raises(ValueError):
-            EnclosureRequest(Func.SIN, Fraction(1), Fraction(0))
+            enclose(Func.SIN, Fraction(1), Fraction(0))
 
 
 class TestTailBound:
     def test_sin_kernel_examples(self):
-        assert tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, Fraction(1), 0)) == 1
-        assert tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, Fraction(1), 2)) == Fraction(1, 32)
+        assert tail_bound(TailKernel.SIN_KERNEL, Fraction(1), 0) == 1
+        assert tail_bound(TailKernel.SIN_KERNEL, Fraction(1), 2) == Fraction(1, 32)
 
     def test_cos_system_example(self):
         # s = 1: sqrt bound is exactly 1, so R**4 * (s**2/4)**1 / 1! = 1/4
-        spec = TailBoundSpec(TailKernel.COS_SYSTEM, Fraction(1), 1, 3)
-        assert tail_bound(spec) == Fraction(1, 4)
+        assert tail_bound(TailKernel.COS_SYSTEM, Fraction(1), 1, 3) == Fraction(1, 4)
 
     def test_exp_kernel_uses_growth_factor(self):
         # r = 1, n = 0: bound is r * U with U a tight upper bound on e
-        value = tail_bound(TailBoundSpec(TailKernel.EXP_KERNEL, Fraction(1), 0))
+        value = tail_bound(TailKernel.EXP_KERNEL, Fraction(1), 0)
         assert Fraction(2718, 1000) < value < Fraction(2719, 1000)
 
     def test_exp_upper_bound_dominates(self):
@@ -113,9 +110,9 @@ class TestTailBound:
 
     def test_weight_power_only_for_cos_system(self):
         with pytest.raises(ValueError):
-            TailBoundSpec(TailKernel.SIN_KERNEL, Fraction(1), 0, 1)
+            tail_bound(TailKernel.SIN_KERNEL, Fraction(1), 0, 1)
         with pytest.raises(ValueError):
-            TailBoundSpec(TailKernel.COS_SYSTEM, Fraction(1), 0, 4)
+            tail_bound(TailKernel.COS_SYSTEM, Fraction(1), 0, 4)
 
     @pytest.mark.parametrize("kernel,arg", [
         (TailKernel.SIN_KERNEL, Fraction(1)),
@@ -124,7 +121,7 @@ class TestTailBound:
         (TailKernel.COS_SYSTEM, Fraction(-1)),
     ])
     def test_eventually_decreasing(self, kernel, arg):
-        values = [tail_bound(TailBoundSpec(kernel, arg, n)) for n in range(30)]
+        values = [tail_bound(kernel, arg, n) for n in range(30)]
         assert all(v > 0 for v in values)
         assert values[29] < values[10] < Fraction(10**6)
         assert values[29] < Fraction(1, 10**6)
@@ -132,7 +129,7 @@ class TestTailBound:
     def test_sin_kernel_dominates_reference_integral(self):
         # |integral of (x - x**2)**2 / 2! * sin x on [0,1]| <= tail bound
         ref = mpmath.quad(lambda x: (x - x**2) ** 2 / 2 * mpmath.sin(x), [0, 1])
-        bound = tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, Fraction(1), 2))
+        bound = tail_bound(TailKernel.SIN_KERNEL, Fraction(1), 2)
         assert abs(ref) <= mpmath.mpf(bound.numerator) / bound.denominator
 
 
@@ -210,7 +207,7 @@ def _reference_enclose(fn: Func, x: Fraction, w: Fraction) -> RatInterval:
 
 
 def _assert_matches_reference(fn: Func, x: Fraction, w: Fraction) -> None:
-    iv = enclose(EnclosureRequest(fn, x, w))
+    iv = enclose(fn, x, w)
     ref = _reference_enclose(fn, x, w)
     assert (iv.lo, iv.hi) == (ref.lo, ref.hi)
 
@@ -453,7 +450,7 @@ def _crossing_and_old_cap(claim: Claim):
     engine = certificates._KINDS[claim.kind].engine(
         delegated, certificates._DEFAULT_TARGET_WIDTH
     )
-    if certificates._KINDS[claim.kind].sequenced:
+    if certificates._KINDS[claim.kind].engine is certificates._CosSystem:
         gate = engine.gate
         prefactor = engine.q * max(engine.weights[0], 1) ** 4 * gate.start
         m = _reference_dominance_index(gate.ratio, 1 / prefactor)
@@ -481,7 +478,7 @@ def _assert_search_ends_by_itself(claim: Claim) -> None:
     if cert.n:
         with pytest.raises(InconclusiveError):
             refute(claim, n_cap=cert.n - 1)
-    if certificates._KINDS[claim.kind].sequenced:
+    if certificates._KINDS[claim.kind].engine is certificates._CosSystem:
         assert cert.n <= m
     else:
         assert m <= cert.n <= m + 1

@@ -12,7 +12,7 @@ import pytest
 
 from irrcert import certificates
 from irrcert.certificates import Claim, ClaimKind
-from irrcert.enclosure import TailBoundSpec, TailKernel, tail_bound
+from irrcert.enclosure import TailKernel, tail_bound
 from irrcert.exactnum import sqrt_bounds
 
 F = Fraction
@@ -34,7 +34,7 @@ def _bounds(decay):
 
 
 def _sin_reference(r, n):
-    return tail_bound(TailBoundSpec(TailKernel.SIN_KERNEL, r, n))
+    return tail_bound(TailKernel.SIN_KERNEL, r, n)
 
 
 def _min_abs(record):
@@ -79,7 +79,7 @@ def test_cos_gate_times_each_weight_is_the_cos_system_bound(s, value):
     gates = _bounds(engine.gate)
     b = s.denominator
     for k, weight in enumerate(engine.weights):
-        expected = [b ** (2 * n + 1) * tail_bound(TailBoundSpec(TailKernel.COS_SYSTEM, s, n, k))
+        expected = [b ** (2 * n + 1) * tail_bound(TailKernel.COS_SYSTEM, s, n, k)
                     for n in INDICES]
         assert [gate * weight for gate in gates] == expected, k
 

@@ -1,10 +1,13 @@
 """The package's public names: the root exports exactly the certificate API,
 ``__all__`` lists only what the package binds, a star import binds exactly
-``__all__``, and the building blocks are imported from their own modules."""
+``__all__``, and the building blocks are imported from their own modules and
+take their arguments directly."""
 
 import importlib
+import inspect
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
@@ -23,11 +26,10 @@ CERTIFICATE_API = {
 
 # the building blocks the root no longer re-exports, by their own module
 BUILDING_BLOCKS = {
-    "enclosure": ("EnclosureRequest", "Func", "TailBoundSpec", "TailKernel", "enclose",
-                  "tail_bound"),
+    "enclosure": ("Func", "TailKernel", "enclose", "tail_bound"),
     "exactnum": ("DegreeBoundError", "IntPoly", "RatInterval", "format_rational",
                  "parse_rational", "sqrt_bounds"),
-    "oracle": ("IntegrandFamily", "IntegrandSpec", "integrate"),
+    "oracle": ("IntegrandFamily", "integrate"),
     "recurrences": ("CosSystemState", "SequencePair", "cos_system", "exp_sequence",
                     "pi_sequence", "tan_sequence"),
 }
@@ -44,6 +46,20 @@ def test_the_root_exports_exactly_the_certificate_api():
 def test_a_building_block_comes_from_its_own_module_only(module, name):
     assert hasattr(importlib.import_module(f"irrcert.{module}"), name)
     assert not hasattr(irrcert, name)
+
+
+@pytest.mark.parametrize("module, function, parameters", [
+    ("enclosure", "enclose", ["fn", "x", "width"]),
+    ("enclosure", "tail_bound", ["kernel", "r_or_s", "n", "k"]),
+    ("oracle", "integrate", ["family", "n", "r", "subdivisions", "precision_bits"]),
+])
+def test_a_building_block_takes_its_arguments_directly(module, function, parameters):
+    # no request object is built to be handed straight to the function, so its
+    # module defines no dataclass at all
+    mod = importlib.import_module(f"irrcert.{module}")
+    assert list(inspect.signature(getattr(mod, function)).parameters) == parameters
+    assert [name for name, value in vars(mod).items()
+            if is_dataclass(value) and value.__module__ == mod.__name__] == []
 
 
 def test_importing_the_root_leaves_the_oracle_unloaded():

@@ -53,7 +53,7 @@ def _stepped_cos(engine, n_cap):
             gate.step()
         pairs = next(tracks)
         open_ = gate.below_one(least)
-        for seq_id, weight, (u, v) in zip(certificates._COS_SEQUENCE_ORDER, weights, pairs):
+        for seq_id, weight, (u, v) in zip(certificates.SequenceId, weights, pairs):
             if open_ and gate.below_one(weight):
                 yield n, seq_id, q * u + p * v, True, partial(_canonical_attempt, engine, u, v)
             else:
