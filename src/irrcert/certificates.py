@@ -758,6 +758,10 @@ def _claim_to_jsonable(claim: Claim) -> dict:
 
 
 def certificate_to_jsonable(cert: Certificate) -> dict:
+    # no "n":true or "n":1.0; the parser writes each document back, so this
+    # check also refuses a document whose n is a bool, float or string
+    if type(cert.n) is not int:
+        raise ValueError("index n must be an integer")
     return {
         "version": SCHEMA_VERSION,
         "claim": _claim_to_jsonable(cert.claim),
@@ -818,8 +822,6 @@ def certificate_from_json(text: str) -> Certificate:
     try:
         if doc["version"] != SCHEMA_VERSION:
             raise ValueError("unsupported certificate version")
-        if type(doc["n"]) is not int:  # a bool, float or string survives the write-back
-            raise ValueError("index n must be an integer")
         cert = Certificate(
             claim=_claim_from_jsonable(doc["claim"]),
             n=doc["n"],

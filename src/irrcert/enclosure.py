@@ -1,4 +1,4 @@
-"""Rigorous rational enclosures of sin, cos, exp and the kernel tail bounds.
+"""Rigorous rational enclosures of sin, cos and exp.
 
 Every enclosure is the Taylor series  sum_m y**m / (k m + delta)!  at zero,
 summed exactly up to a term count, plus an explicit remainder radius, so the
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import ceil, factorial, isqrt, prod
 from typing import Tuple
 
-from .exactnum import RatInterval, sqrt_bounds
+from .exactnum import RatInterval
 
 
 class Func(Enum):
@@ -129,13 +129,7 @@ def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
     raise ValueError(f"unknown enclosure function {fn!r}")
 
 
-class TailKernel(Enum):
-    SIN_KERNEL = "sin_kernel"
-    EXP_KERNEL = "exp_kernel"
-    COS_SYSTEM = "cos_system"
-
-
-# width used for the rational exp/cosh over-approximations inside tail bounds;
+# width used for the rational cosh over-approximation in the cos system's bound;
 # any fixed value is sound, this one keeps the factors short
 _UPPER_BOUND_WIDTH = Fraction(1, 1 << 16)
 
@@ -143,32 +137,3 @@ _UPPER_BOUND_WIDTH = Fraction(1, 1 << 16)
 def exp_upper_bound(x: Fraction) -> Fraction:
     """Deterministic rational upper bound on e**x (also >= cosh x for x >= 0)."""
     return enclose(Func.EXP, x, _UPPER_BOUND_WIDTH).hi
-
-
-def tail_bound(kernel: TailKernel, r_or_s: Fraction, n: int, k: int = 0) -> Fraction:
-    """Rational bound with |integral_n| <= tail_bound, from the pointwise
-    maximum of the kernel times the interval length times a weight bound
-    z**k (the cos system's weight power, 0..3; 0 for the other kernels)."""
-    r = s = Fraction(r_or_s)
-    if n < 0:
-        raise ValueError("index n must be nonnegative")
-    if kernel is TailKernel.COS_SYSTEM:
-        if k not in (0, 1, 2, 3):
-            raise ValueError("cos-system weight power must be 0..3")
-    elif k != 0:
-        raise ValueError("weight power only applies to the cos system")
-    if kernel is TailKernel.SIN_KERNEL:
-        if r <= 0:
-            raise ValueError("sin kernel requires r > 0")
-        return r * (r * r / 4) ** n / factorial(n)
-    if kernel is TailKernel.EXP_KERNEL:
-        if r <= 0:
-            raise ValueError("exp kernel requires r > 0")
-        return r * (r * r / 4) ** n / factorial(n) * exp_upper_bound(r)
-    if s == 0:
-        raise ValueError("cos system requires s != 0")
-    if s > 0:
-        root_hi = sqrt_bounds(s).hi
-        return root_hi ** (k + 1) * (s * s / 4) ** n / factorial(n)
-    t_hi = sqrt_bounds(-s).hi
-    return t_hi ** (k + 1) * (2 * s * s) ** n / factorial(n) * exp_upper_bound(t_hi)

@@ -20,10 +20,6 @@ from fractions import Fraction
 from math import isqrt
 
 
-class DegreeBoundError(ValueError):
-    """Scaled integer evaluation was requested below the polynomial degree."""
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or "a" into a Fraction.  Raises ValueError on junk."""
     text = text.strip()
@@ -99,50 +95,6 @@ class IntPoly:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by var**k."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
-
-    def eval_rational(self, x: Fraction) -> Fraction:
-        """Exact evaluation at a rational point (Horner)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_scaled_integer(self, a: int, b: int, n: int) -> int:
-        """Exact integer b**n * p(a/b); requires degree <= n and b != 0.
-
-        Expands to sum of c_k * a**k * b**(n-k), which is an integer exactly
-        when every exponent n-k is nonnegative, i.e. degree <= n.
-        """
-        if b == 0:
-            raise ZeroDivisionError("scale denominator is zero")
-        if self.degree > n:
-            raise DegreeBoundError(
-                f"degree {self.degree} exceeds scale exponent {n}"
-            )
-        total = 0
-        apow = 1
-        for k, c in enumerate(self.coeffs):
-            total += c * apow * b ** (n - k)
-            apow *= a
-        return total
-
-    def even_part_in_square(self) -> "IntPoly":
-        """For p with only even powers, return g with p(x) = g(x**2)."""
-        if any(c for c in self.coeffs[1::2]):
-            raise ValueError("polynomial has odd-power terms")
-        return IntPoly(self.coeffs[0::2])
-
-    def odd_part_in_square(self) -> "IntPoly":
-        """For p with only odd powers, return g with p(x) = x * g(x**2)."""
-        if any(c for c in self.coeffs[0::2]):
-            raise ValueError("polynomial has even-power terms")
-        return IntPoly(self.coeffs[1::2])
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,6 @@ _node_cache: Dict[tuple, dict] = {}
 _power_cache: Dict[tuple, Tuple[int, List[int]]] = {}
 
 
-def clear_cache() -> None:
-    with _cache_lock:
-        _node_cache.clear()
-        _power_cache.clear()
-
-
 def _fixed_value(value: Fraction, prec: int) -> int:
     return (value.numerator << prec) // value.denominator
 

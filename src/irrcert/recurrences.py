@@ -45,12 +45,7 @@ class SequencePair:
 
 @dataclass(frozen=True)
 class CosSystemState:
-    """The four coupled sequences of the cos engine at one index n.
-
-    For n >= 1 the exact descent identity
-        L_n = (4n+3) K_n + s J_n - (2n+1) s I_n
-    holds; ``descent_identity_check`` verifies it.
-    """
+    """The four coupled sequences of the cos engine at one index n."""
 
     n: int
     I: SequencePair
@@ -169,18 +164,3 @@ def exp_sequence(n_max: int) -> List[SequencePair]:
 def cos_system(n_max: int) -> List[CosSystemState]:
     return [CosSystemState(n, *(SequencePair(n, u, v) for u, v in pairs))
             for n, pairs in zip(range(n_max + 1), cos_track(_X, _ONE))]
-
-
-def descent_identity_check(state: CosSystemState) -> bool:
-    """Verify L_n = (4n+3) K_n + s J_n - (2n+1) s I_n exactly (n >= 1)."""
-    if state.n < 1:
-        raise ValueError("descent identity holds for n >= 1")
-    n = state.n
-    for attr in ("u", "v"):
-        l = getattr(state.L, attr)
-        k = getattr(state.K, attr)
-        j = getattr(state.J, attr)
-        i = getattr(state.I, attr)
-        if l != (4 * n + 3) * k + j.shift(1) - (2 * n + 1) * i.shift(1):
-            return False
-    return True

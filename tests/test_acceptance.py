@@ -23,21 +23,12 @@ from irrcert.certificates import (
     refute,
     to_canonical_json,
 )
-from irrcert.enclosure import (
-    Func,
-    TailKernel,
-    enclose,
-    tail_bound,
-)
+from irrcert.enclosure import Func, enclose
 from irrcert.exactnum import IntPoly, sqrt_bounds
 from irrcert.oracle import IntegrandFamily, integrate
-from irrcert.recurrences import (
-    cos_system,
-    descent_identity_check,
-    exp_sequence,
-    pi_sequence,
-    tan_sequence,
-)
+from irrcert.recurrences import cos_system, exp_sequence, pi_sequence, tan_sequence
+
+from reference import TailKernel, descent_identity_check, eval_rational, tail_bound
 
 
 def F(*args):
@@ -160,18 +151,18 @@ def midpoint_for(fn: Func, arg: Fraction, scale: Fraction) -> Fraction:
 def symbolic_value(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
     if family is IntegrandFamily.SIN_KERNEL:
         pair = tan_sequence(n)[n]
-        u_val, v_val = pair.u.eval_rational(r), pair.v.eval_rational(r)
+        u_val, v_val = eval_rational(pair.u, r), eval_rational(pair.v, r)
         return u_val * (1 - midpoint_for(Func.COS, r, u_val)) + v_val * midpoint_for(
             Func.SIN, r, v_val
         )
     if family is IntegrandFamily.EXP_KERNEL:
         pair = exp_sequence(n)[n]
-        u_val, v_val = pair.u.eval_rational(r), pair.v.eval_rational(r)
+        u_val, v_val = eval_rational(pair.u, r), eval_rational(pair.v, r)
         return u_val + v_val * midpoint_for(Func.EXP, r, v_val)
     letter = family.value.split("-")[1]
     pair = cos_system(n)[n].by_id(letter)
     s = r * r
-    u_val, v_val = pair.u.eval_rational(s), pair.v.eval_rational(s)
+    u_val, v_val = eval_rational(pair.u, s), eval_rational(pair.v, s)
     return u_val + v_val * midpoint_for(Func.COS, r, v_val)
 
 

@@ -29,6 +29,7 @@ from irrcert.certificates import (
 from irrcert.recurrences import cos_system
 
 from hostile_documents import HOSTILE, canonical_text, on_fresh_stack
+from reference import eval_scaled_integer
 from test_acceptance import corpus_certificates
 
 
@@ -318,11 +319,11 @@ class TestChecker:
         claim = Claim(ClaimKind.COS, F(1), F(1, 2))
         cert = refute(claim)
         pair = cos_system(1)[1].J
-        witness = 2 * pair.u.eval_scaled_integer(1, 1, 3) + 1 * pair.v.eval_scaled_integer(1, 1, 3)
+        witness = 2 * eval_scaled_integer(pair.u, 1, 1, 3) + 1 * eval_scaled_integer(pair.v, 1, 1, 3)
         assert witness == -10
         accepted = _CosSystem(claim, _DEFAULT_TARGET_WIDTH)._attempt(
-            pair.u.eval_scaled_integer(1, 1, 3),
-            pair.v.eval_scaled_integer(1, 1, 3),
+            eval_scaled_integer(pair.u, 1, 1, 3),
+            eval_scaled_integer(pair.v, 1, 1, 3),
         )
         assert accepted is not None
         bound, enclosures = accepted
@@ -374,6 +375,14 @@ class TestSerialization:
             restored = certificate_from_json(text)
             assert restored == cert
             assert to_canonical_json(restored) == text
+
+    # the writer refuses what the parser would refuse, rather than writing
+    # "n":true or "n":1.0
+    @pytest.mark.parametrize("n", [True, 1.0])
+    def test_the_writer_refuses_a_non_integer_index(self, n):
+        cert = replace(refute(Claim(ClaimKind.COS, F(1), F(1, 2))), n=n)
+        with pytest.raises(ValueError, match="^index n must be an integer$"):
+            to_canonical_json(cert)
 
     @pytest.mark.parametrize(
         "mangle",

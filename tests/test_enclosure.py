@@ -13,17 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_acceptance import full_corpus
 
-from irrcert.enclosure import (
-    Func,
-    TailKernel,
-    enclose,
-    even_series,
-    exp_upper_bound,
-    tail_bound,
-)
 from irrcert import certificates, enclosure
 from irrcert.certificates import Claim, ClaimKind, InconclusiveError, refute
+from irrcert.enclosure import Func, enclose, even_series, exp_upper_bound
 from irrcert.exactnum import RatInterval
+from reference import TailKernel, tail_bound
 
 mpmath.mp.dps = 60
 

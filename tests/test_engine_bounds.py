@@ -1,5 +1,5 @@
-"""Each engine's own bound against the kernel tail bounds of
-``enclosure.tail_bound``: for n = 0 .. 40, the bound an engine steps is the
+"""Each engine's own bound against the kernel tail bounds of the test-side
+``reference.tail_bound``: for n = 0 .. 40, the bound an engine steps is the
 claim's factor times the scaled reference bound on the integral whose
 multiple the witness is.  Where an engine replaces a square root by its
 upper bound on the 2**-64 grid (pi squared, tan ratio), its bound never
@@ -12,8 +12,9 @@ import pytest
 
 from irrcert import certificates
 from irrcert.certificates import Claim, ClaimKind
-from irrcert.enclosure import TailKernel, tail_bound
 from irrcert.exactnum import sqrt_bounds
+
+from reference import TailKernel, tail_bound
 
 F = Fraction
 INDICES = range(41)

@@ -1,8 +1,10 @@
 """The package's public names: the root exports exactly the certificate API,
 ``__all__`` lists only what the package binds, a star import binds exactly
-``__all__``, and the building blocks are imported from their own modules and
-take their arguments directly."""
+``__all__``, the building blocks are imported from their own modules and
+take their arguments directly, and the package holds no test-only reference
+code and imports only the standard library."""
 
+import ast
 import importlib
 import inspect
 import subprocess
@@ -26,9 +28,8 @@ CERTIFICATE_API = {
 
 # the building blocks the root no longer re-exports, by their own module
 BUILDING_BLOCKS = {
-    "enclosure": ("Func", "TailKernel", "enclose", "tail_bound"),
-    "exactnum": ("DegreeBoundError", "IntPoly", "RatInterval", "format_rational",
-                 "parse_rational", "sqrt_bounds"),
+    "enclosure": ("Func", "enclose"),
+    "exactnum": ("IntPoly", "RatInterval", "format_rational", "parse_rational", "sqrt_bounds"),
     "oracle": ("IntegrandFamily", "integrate"),
     "recurrences": ("CosSystemState", "SequencePair", "cos_system", "exp_sequence",
                     "pi_sequence", "tan_sequence"),
@@ -50,7 +51,6 @@ def test_a_building_block_comes_from_its_own_module_only(module, name):
 
 @pytest.mark.parametrize("module, function, parameters", [
     ("enclosure", "enclose", ["fn", "x", "width"]),
-    ("enclosure", "tail_bound", ["kernel", "r_or_s", "n", "k"]),
     ("oracle", "integrate", ["family", "n", "r", "subdivisions", "precision_bits"]),
 ])
 def test_a_building_block_takes_its_arguments_directly(module, function, parameters):
@@ -60,6 +60,43 @@ def test_a_building_block_takes_its_arguments_directly(module, function, paramet
     assert list(inspect.signature(getattr(mod, function)).parameters) == parameters
     assert [name for name, value in vars(mod).items()
             if is_dataclass(value) and value.__module__ == mod.__name__] == []
+
+
+# the test-only reference code that lives in tests/reference.py instead
+MOVED_TO_THE_TESTS = {
+    "enclosure": ("TailKernel", "tail_bound"),
+    "exactnum": ("DegreeBoundError",),
+    "exactnum.IntPoly": ("eval_rational", "eval_scaled_integer", "even_part_in_square",
+                         "odd_part_in_square", "shift"),
+    "oracle": ("clear_cache",),
+    "recurrences": ("descent_identity_check",),
+}
+
+
+@pytest.mark.parametrize(
+    "owner, name", [(owner, name) for owner, names in MOVED_TO_THE_TESTS.items() for name in names]
+)
+def test_the_test_only_reference_code_is_gone_from_the_package(owner, name):
+    module, _, cls = owner.partition(".")
+    found = importlib.import_module(f"irrcert.{module}")
+    assert not hasattr(getattr(found, cls) if cls else found, name)
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    # pins pyproject's empty dependency list, and keeps src/ from importing
+    # the test-side reference code
+    foreign = []
+    for path in sorted(Path(irrcert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = ["irrcert" if node.level else node.module]
+            else:
+                continue
+            foreign += [(path.name, m) for m in modules
+                        if m.split(".")[0] not in sys.stdlib_module_names | {"irrcert"}]
+    assert foreign == []
 
 
 def test_importing_the_root_leaves_the_oracle_unloaded():

@@ -5,7 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from irrcert.oracle import IntegrandFamily, clear_cache, integrate
+from irrcert.oracle import IntegrandFamily, integrate
+
+from reference import clear_cache
 
 mpmath.mp.dps = 50
 

@@ -10,7 +10,6 @@ from irrcert.exactnum import IntPoly
 from irrcert.recurrences import (
     cos_system,
     cos_track,
-    descent_identity_check,
     exp_sequence,
     exp_track,
     pi_sequence,
@@ -18,6 +17,11 @@ from irrcert.recurrences import (
     tan_ratio_track,
     tan_sequence,
     tan_track,
+)
+
+from reference import (
+    descent_identity_check, eval_rational, eval_scaled_integer,
+    even_part_in_square, odd_part_in_square, shift,
 )
 
 N_AUDIT = 16
@@ -35,8 +39,8 @@ class TestTanEngine:
         pairs = tan_sequence(10)
         for n in range(2, 11):
             k = 4 * n - 2
-            assert pairs[n].u == k * pairs[n - 1].u - pairs[n - 2].u.shift(2)
-            assert pairs[n].v == k * pairs[n - 1].v - pairs[n - 2].v.shift(2)
+            assert pairs[n].u == k * pairs[n - 1].u - shift(pairs[n - 2].u, 2)
+            assert pairs[n].v == k * pairs[n - 1].v - shift(pairs[n - 2].v, 2)
 
     def test_parity_and_degree(self):
         for pair in tan_sequence(N_AUDIT):
@@ -72,14 +76,14 @@ class TestExpEngine:
         pairs = exp_sequence(10)
         for n in range(2, 11):
             k = 4 * n - 2
-            assert pairs[n].u == -k * pairs[n - 1].u + pairs[n - 2].u.shift(2)
-            assert pairs[n].v == -k * pairs[n - 1].v + pairs[n - 2].v.shift(2)
+            assert pairs[n].u == -k * pairs[n - 1].u + shift(pairs[n - 2].u, 2)
+            assert pairs[n].v == -k * pairs[n - 1].v + shift(pairs[n - 2].v, 2)
 
     def test_value_at_one(self):
         # I_1 = u_1(1) + v_1(1) e = 3 - e
         pair = exp_sequence(1)[1]
-        assert pair.u.eval_rational(Fraction(1)) == 3
-        assert pair.v.eval_rational(Fraction(1)) == -1
+        assert eval_rational(pair.u, Fraction(1)) == 3
+        assert eval_rational(pair.v, Fraction(1)) == -1
 
     def test_degree_bound(self):
         for pair in exp_sequence(N_AUDIT):
@@ -118,10 +122,10 @@ class TestCosSystem:
                     getattr(cur.K, attr),
                     getattr(cur.L, attr),
                 )
-                assert i_c == 4 * l_p - 2 * j_p.shift(1)
-                assert j_c == (4 * n + 1) * i_c - 2 * k_p.shift(1)
-                assert k_c == -(4 * n + 2) * j_c + 2 * l_p.shift(1)
-                assert l_c == (4 * n + 3) * k_c + 2 * n * i_c.shift(1) - 2 * k_p.shift(2)
+                assert i_c == 4 * l_p - 2 * shift(j_p, 1)
+                assert j_c == (4 * n + 1) * i_c - 2 * shift(k_p, 1)
+                assert k_c == -(4 * n + 2) * j_c + 2 * shift(l_p, 1)
+                assert l_c == (4 * n + 3) * k_c + 2 * n * shift(i_c, 1) - 2 * shift(k_p, 2)
 
     def test_anchor_identity(self):
         # 2 I_0 + K_0 = (s, 0): vanishing from some index onward would
@@ -181,37 +185,37 @@ class TestScalarTracks:
     @track_settings
     @given(a=signed_num, b=den, x=coeff, y=coeff)
     def test_tan(self, a, b, x, y):
-        expected = [x * pair.u.eval_scaled_integer(a, b, pair.n)
-                    + y * pair.v.eval_scaled_integer(a, b, pair.n)
+        expected = [x * eval_scaled_integer(pair.u, a, b, pair.n)
+                    + y * eval_scaled_integer(pair.v, a, b, pair.n)
                     for pair in _polys("tan")]
         assert _take(tan_track(a, b, x, y)) == expected
 
     @track_settings
     @given(a=positive_num, b=den)
     def test_pi(self, a, b):
-        expected = [poly.eval_scaled_integer(a, b, n) for n, poly in enumerate(_polys("pi"))]
+        expected = [eval_scaled_integer(poly, a, b, n) for n, poly in enumerate(_polys("pi"))]
         assert _take(tan_track(a, b, 2, 0)) == expected
 
     @track_settings
     @given(a=positive_num, b=den)
     def test_pi_squared_even_part(self, a, b):
-        expected = [poly.even_part_in_square().eval_scaled_integer(a, b, n)
+        expected = [eval_scaled_integer(even_part_in_square(poly), a, b, n)
                     for n, poly in enumerate(_polys("pi"))]
         assert _take(pi_squared_track(a, b)) == expected
 
     @track_settings
     @given(a=positive_num, b=den, x=coeff, y=coeff)
     def test_exp(self, a, b, x, y):
-        expected = [x * pair.u.eval_scaled_integer(a, b, pair.n)
-                    + y * pair.v.eval_scaled_integer(a, b, pair.n)
+        expected = [x * eval_scaled_integer(pair.u, a, b, pair.n)
+                    + y * eval_scaled_integer(pair.v, a, b, pair.n)
                     for pair in _polys("exp")]
         assert _take(exp_track(a, b, x, y)) == expected
 
     @track_settings
     @given(a=positive_num, b=den, x=coeff, y=coeff)
     def test_tan_ratio_parity_parts(self, a, b, x, y):
-        expected = [x * pair.u.even_part_in_square().eval_scaled_integer(4 * a, b, pair.n)
-                    + y * pair.v.odd_part_in_square().eval_scaled_integer(4 * a, b, pair.n)
+        expected = [x * eval_scaled_integer(even_part_in_square(pair.u), 4 * a, b, pair.n)
+                    + y * eval_scaled_integer(odd_part_in_square(pair.v), 4 * a, b, pair.n)
                     for pair in _polys("tan")]
         assert _take(tan_ratio_track(a, b, x, y)) == expected
 
@@ -223,8 +227,8 @@ class TestScalarTracks:
             for k, letter in enumerate("IJKL"):
                 pair = state.by_id(letter)
                 assert track[k] == (
-                    pair.u.eval_scaled_integer(a, b, exponent),
-                    pair.v.eval_scaled_integer(a, b, exponent),
+                    eval_scaled_integer(pair.u, a, b, exponent),
+                    eval_scaled_integer(pair.v, a, b, exponent),
                 ), (state.n, letter)
 
     def test_cos_degree_fence(self):
