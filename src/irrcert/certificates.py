@@ -34,8 +34,11 @@ bound, and the enclosure transcript.  ``check_certificate`` steps the same
 stream once, up to the certificate's own slot, and re-derives every number
 there from the claim alone, so no stored field is trusted; on the way it
 tries the earlier candidates' attempts, any of which would have ended the
-search.  All searches and precision schedules are pure functions of the
-claim; rerunning a refutation is byte-stable.
+search.  It steps no further than the first slot whose attempt must
+succeed, and for the kinds whose bound starts at 1 or more it rejects an
+index below the bound's peak before building any enclosure.  All searches
+and precision schedules are pure functions of the claim; rerunning a
+refutation is byte-stable.
 """
 
 from __future__ import annotations
@@ -344,6 +347,9 @@ def _visits(
 # the numbers it returns are the slot's only while the stream is at that
 # slot.  A cos attempt holds its own u and v.  A cos slot whose gate is not
 # below 1 has no witness and no attempt (both None).  An engine streams once.
+# ``settles(sequence)``, asked while the stream is at a candidate slot, is
+# True only if that slot's attempt must succeed, so that the search ends
+# there at the latest.
 # --------------------------------------------------------------------------
 
 class _ThreeTerm:
@@ -361,6 +367,9 @@ class _ThreeTerm:
         for n, below, witness in _visits(self.bound, Fraction(1), self.witnesses, n_cap):
             yield n, None, witness, below, accept
 
+    def settles(self, sequence: Optional[SequenceId]) -> bool:
+        return True
+
     def _accept(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
         return Fraction(self.bound.num, self.bound.den), self.enclosures
 
@@ -375,6 +384,17 @@ class _ThreeTerm:
 # enclosure trap it in (-1, 1).
 # --------------------------------------------------------------------------
 
+def _tan_step(r: Fraction) -> Tuple[int, int]:
+    """The tan bound's step ratio a**2 / (4 b) as (num, den), for r = 2t = a/b."""
+    return r.numerator ** 2, 4 * r.denominator
+
+
+def _tan_rise(t: Fraction) -> int:
+    """floor(ratio): |sin r| <= |r| makes the start at least q."""
+    num, den = _tan_step(2 * t)
+    return num // den if t else -1
+
+
 def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     t = claim.arg
     if t == 0:
@@ -384,10 +404,10 @@ def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
         t, value = -t, -value
     r = 2 * t
     sin_iv, sin_record = _enclosure_away_from_zero(Func.SIN, r, width)
-    p, q, a, b = value.numerator, value.denominator, r.numerator, r.denominator
+    p, q = value.numerator, value.denominator
     return _ThreeTerm(
-        tan_track(a, b, p, q),
-        _Decay(q * r / sin_iv.min_abs(), Fraction(a * a, 4 * b)),
+        tan_track(r.numerator, r.denominator, p, q),
+        _Decay(q * r / sin_iv.min_abs(), Fraction(*_tan_step(r))),
         (sin_record,),
     )
 
@@ -452,6 +472,12 @@ def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # the bound is q sqrt(s) a**n / (s sinc(4s) n!).
 # --------------------------------------------------------------------------
 
+def _tan_ratio_rise(s: Fraction) -> int:
+    """floor(ratio) = a: |sinc(4s)| <= 1 / (2 sqrt s) makes the start at
+    least 2q."""
+    return s.numerator if s.numerator > 0 else -1
+
+
 def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     s = claim.arg
     if s == 0:
@@ -475,6 +501,20 @@ def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # claim; enclosing cos r from s makes the true value's window exact.
 # --------------------------------------------------------------------------
 
+def _cos_step(s: Fraction) -> Tuple[int, int]:
+    """The gate's step ratio as (num, den): a**2 / 4 for s = a/b > 0, and
+    2 a**2 for s < 0."""
+    a = s.numerator
+    return (a * a, 4) if a > 0 else (2 * a * a, 1)
+
+
+def _cos_rise(s: Fraction) -> int:
+    """floor(ratio) once |s| >= 1: the gate's start b * hyper and every
+    weight are then at least 1."""
+    num, den = _cos_step(s)
+    return num // den if abs(s.numerator) >= s.denominator else -1
+
+
 class _CosSystem:
     """One cos claim on the I/J/K/L system: at each index the four sequences
     in order, each attempted once its decay gate times its weight is below 1,
@@ -496,9 +536,7 @@ class _CosSystem:
         self.weights = tuple(root_hi ** (k + 1) for k in range(4))
         hyper = exp_upper_bound(root_hi) if s < 0 else Fraction(1)
         # the gate is b**(2n+1) * tail bound without the weight factor
-        a, b = s.numerator, s.denominator
-        ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
-        self.gate = _Decay(b * hyper, ratio)
+        self.gate = _Decay(s.denominator * hyper, Fraction(*_cos_step(s)))
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
         p, q, gate, weights = self.p, self.q, self.gate, self.weights
@@ -510,6 +548,11 @@ class _CosSystem:
                     yield n, seq_id, q * u + p * v, True, partial(self._attempt, u, v)
                 else:
                     yield n, seq_id, None, False, None
+
+    def settles(self, sequence: SequenceId) -> bool:
+        """Whether q * gate * weight < 1: the true value then lies inside
+        (-1, 1), so the slot's subset attempt succeeds."""
+        return self.gate.below_one(self.q * self.weights[list(SequenceId).index(sequence)])
 
     def _attempt(self, u: int, v: int) -> Optional[Tuple[Fraction, Tuple[EnclosureRecord, ...]]]:
         """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v
@@ -585,20 +628,24 @@ class _Kind(NamedTuple):
     arg: Optional[str]  # the argument: "t", "s" = t**2, or None
     # squared-trig kinds only: the claimed value mapped to the value of cos 2r
     to_cos: Optional[Callable[[Fraction], Fraction]] = None
+    # the engine claim's argument mapped to floor(ratio), the peak of a bound
+    # start * ratio**n / n! whose start (times the least weight) is at least
+    # 1, so that no slot up to it is a candidate; -1 where that is not known
+    rise: Optional[Callable[[Fraction], int]] = None
 
 
 _NONZERO, _POSITIVE = RefutationMode.NONZERO_SQUEEZE, RefutationMode.POSITIVE_SQUEEZE
 
 _KINDS = {
-    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t"),
-    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s"),
+    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t", rise=_tan_rise),
+    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s", rise=_tan_ratio_rise),
     ClaimKind.PI: _Kind(_POSITIVE, _pi_engine, None),
     ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None),
     ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t"),
-    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s"),
-    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 1 - 2 * value),
-    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 2 * value - 1),
-    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _tan_sq_to_cos),
+    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s", rise=_cos_rise),
+    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 1 - 2 * value, _cos_rise),
+    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 2 * value - 1, _cos_rise),
+    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _tan_sq_to_cos, _cos_rise),
 }
 
 
@@ -676,7 +723,9 @@ def _check_structure(cert: Certificate) -> Optional[str]:
 def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str]:
     """Step the stream to the certificate's own (n, sequence) and re-derive
     its fields there, trying the attempts of the earlier candidates on the
-    way: the search would have stopped at any that succeeds.  Returns the
+    way: the search would have stopped at any that succeeds.  A certificate
+    more than one index past a candidate that settles is rejected there, so
+    the pass steps no further than the search could have.  Returns the
     first problem found, or None."""
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     own_n, own_sequence = cert.n, cert.sequence
@@ -686,11 +735,16 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
     for n, sequence, witness, below, attempt in engine.stream(own_n):
         if n == own_n and sequence is own_sequence:
             break
-        if not beaten and below and (positive or witness != 0):
-            kept.append(attempt)
-            if len(kept) == _MAX_KEPT_ATTEMPTS:
-                beaten = any(tried() is not None for tried in kept)
-                kept = []
+        if below and (positive or witness != 0):
+            # the search ends by this slot if it settles; the slack of one
+            # index keeps the reason of an n + 1 mutant
+            if own_n > n + 1 and engine.settles(sequence):
+                return f"index past the end of the search at n={n}"
+            if not beaten:
+                kept.append(attempt)
+                if len(kept) == _MAX_KEPT_ATTEMPTS:
+                    beaten = any(tried() is not None for tried in kept)
+                    kept = []
     if attempt is None:
         return "decay gate not satisfied at certificate index"
     accepted = attempt()
@@ -718,8 +772,10 @@ def check_certificate(
     """VALID iff every stored field reproduces from the claim alone and the
     certificate is the canonical search result for its claim.
 
-    One pass of the claim's stream re-derives the fields at the
-    certificate's own (n, sequence) and tries the attempts of the earlier
+    An index well below the bound's peak, where no slot is a candidate, is
+    rejected before the engine is built.  One pass of the claim's stream
+    re-derives the fields at the certificate's own (n, sequence), stops
+    where the search must have ended, and tries the attempts of the earlier
     candidates, each full list of ``_MAX_KEPT_ATTEMPTS`` as it fills and the
     rest at the end.  The search stops at the first candidate whose attempt
     succeeds, so once the own fields reproduce, the certificate is canonical
@@ -737,6 +793,12 @@ def check_certificate(
         claim, transform = _delegate(cert.claim)
         if cert.transform != transform:
             return CheckResult(False, "transform mismatch")
+        # no slot up to the bound's peak is a candidate; checked before the
+        # engine builds its enclosures, with the slack of one index that
+        # keeps the reason of an n - 1 mutant
+        first = kind.rise(claim.arg) + 1 if kind.rise else 0
+        if cert.n + 1 < first:
+            return CheckResult(False, f"index before the start of the search at n={first}")
         engine = kind.engine(claim, width)
     except RefutationError as exc:
         return CheckResult(False, f"claim rejected on replay: {exc}")

@@ -1,14 +1,18 @@
-"""Hostile and non-canonical variants of one canonical certificate document.
+"""Hostile and non-canonical variants of one canonical certificate document,
+and canonical documents whose index lies outside their claim's bracket.
 
-Each case maps the canonical text of a certificate with an enclosure, a
-transform and the claim argument "1/1" (sin_sq(1) = 7/10 has all three) to
-a document that ``certificate_from_json`` must reject with ValueError and
-``irrcert verify`` with exit 1.  The parser tests and the CLI tests share
-them.
+Each ``HOSTILE`` case maps the canonical text of a certificate with an
+enclosure, a transform and the claim argument "1/1" (sin_sq(1) = 7/10 has
+all three) to a document that ``certificate_from_json`` must reject with
+ValueError and ``irrcert verify`` with exit 1.  Each ``OUT_OF_BRACKET`` case
+is a document that parses but names an index the search cannot end at;
+``check_certificate`` must reject it and ``irrcert verify`` exit 4, each in
+under a second.  The checker, parser and CLI tests share them.
 """
 
 import json
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -58,6 +62,41 @@ HOSTILE.update(
     (f"{name}_nested_{depth}", partial(_with_raw, path=path, raw="[" * depth + "]" * depth))
     for name, path in (("fn", ("enclosures", 0, "fn")), ("identity", ("transform", "identity")))
     for depth in range(980, 1001)
+)
+
+
+PI_22_7 = Claim(ClaimKind.PI, None, Fraction(22, 7))
+COS_49_9 = Claim(ClaimKind.COS, Fraction(49, 9), Fraction(1, 3))
+
+
+@lru_cache(maxsize=None)
+def canonical(claim: Claim):
+    return refute(claim)
+
+
+def forged_index_text(claim: Claim, forge) -> str:
+    """The canonical certificate of ``claim`` with its index n set to forge(n)."""
+    cert = canonical(claim)
+    return to_canonical_json(replace(cert, n=forge(cert.n)))
+
+
+def huge_argument_text() -> str:
+    """The tan(1) = 1/2 certificate with its argument set to 10**7: 344 bytes
+    that parse, for a claim whose bound rises until n = 10**14."""
+    text = to_canonical_json(canonical(Claim(ClaimKind.TAN, Fraction(1), Fraction(1, 2))))
+    out = text.replace('"arg":"1/1"', '"arg":"10000000/1"', 1)
+    assert out != text and len(out) == 344
+    return out
+
+
+# name -> function giving the document
+OUT_OF_BRACKET = {
+    "huge_argument": huge_argument_text,
+    "cos_49_9_n_tripled": partial(forged_index_text, COS_49_9, lambda n: 3 * n),
+}
+OUT_OF_BRACKET.update(
+    (f"pi_22_7_n_1e{e}", partial(forged_index_text, PI_22_7, lambda n, e=e: 10**e))
+    for e in (4, 5, 6)
 )
 
 

@@ -1,5 +1,6 @@
-"""The checker's single pass: pinned reasons, one stream per check, and a
-cos series summed at most once per search and twice per check.
+"""The checker's single pass: pinned reasons, one stream per check that
+stops where the search must have ended, and a cos series summed at most
+once per search and twice per check.
 
 The reason table was recorded from the checker that replayed each
 certificate at its index and then reran the whole search; the one-pass
@@ -7,17 +8,22 @@ checker must give the same (ok, reason) for the corpus and every
 criterion-5 mutant.
 """
 
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
 import pytest
+from hostile_documents import (
+    COS_49_9, PI_22_7, forged_index_text, huge_argument_text,
+)
 from test_acceptance import corpus_certificates, full_corpus, mutations
 
 from irrcert import certificates, enclosure
 from irrcert.certificates import (
-    Claim, ClaimKind, InconclusiveError, SequenceId, check_certificate, refute,
+    Claim, ClaimKind, InconclusiveError, SequenceId, certificate_from_json, check_certificate,
+    refute,
 )
 
 
@@ -89,6 +95,52 @@ def test_three_term_check_is_one_pass(monkeypatch, track, claim):
     monkeypatch.setattr(certificates, "refute", no_search)
     assert check_certificate(cert).ok
     assert len(draws) == cert.n + 1
+
+
+# (track, claim, forged n from the canonical n, the first candidate index
+# whose attempt must succeed: for pi every candidate, for this cos claim one
+# past the canonical n = 1631)
+FORGED_INDICES = [
+    ("tan_track", PI_22_7, lambda n: 2 * n, 46),
+    ("tan_track", PI_22_7, lambda n: 10**4, 46),
+    ("tan_track", PI_22_7, lambda n: 10**5, 46),
+    ("tan_track", PI_22_7, lambda n: 10**6, 46),
+    ("cos_track", COS_49_9, lambda n: 3 * n, 1632),
+]
+
+
+@pytest.mark.parametrize("track,claim,forge,settled", FORGED_INDICES,
+                         ids=["pi-2n", "pi-1e4", "pi-1e5", "pi-1e6", "cos-49/9-3n"])
+def test_forged_index_stops_at_the_end_of_the_search(monkeypatch, track, claim, forge, settled):
+    forged = certificate_from_json(forged_index_text(claim, forge))
+    draws = []
+    original = getattr(certificates, track)
+
+    def counted(*args):
+        for value in original(*args):
+            draws.append(value)
+            yield value
+
+    monkeypatch.setattr(certificates, track, counted)
+    start = time.perf_counter()
+    result = check_certificate(forged)
+    assert time.perf_counter() - start < 1
+    assert (result.ok, result.reason) == (
+        False, f"index past the end of the search at n={settled}")
+    assert len(draws) <= settled + 1
+
+
+def test_huge_argument_is_rejected_before_the_engine_builds(monkeypatch):
+    def no_enclosure(*args):
+        raise AssertionError("the checker built the zero-excluding enclosure")
+
+    cert = certificate_from_json(huge_argument_text())
+    monkeypatch.setattr(certificates, "_enclosure_away_from_zero", no_enclosure)
+    start = time.perf_counter()
+    result = check_certificate(cert)
+    assert time.perf_counter() - start < 1
+    assert (result.ok, result.reason) == (
+        False, f"index before the start of the search at n={10**14 + 1}")
 
 
 def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):

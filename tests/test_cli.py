@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ import irrcert.cli as cli
 from irrcert.certificates import _KINDS, ClaimKind
 from irrcert.cli import format_decimal, main
 
-from hostile_documents import HOSTILE, canonical_text, on_fresh_stack
+from hostile_documents import HOSTILE, OUT_OF_BRACKET, canonical_text, on_fresh_stack
 
 
 def run(capsys, *argv):
@@ -220,6 +221,15 @@ class TestVerify:
         code, out, err = on_fresh_stack(run, capsys, "verify", str(path))
         assert code == 1 and out == ""
         assert err.startswith("malformed certificate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("make", OUT_OF_BRACKET.values(), ids=OUT_OF_BRACKET.keys())
+    def test_out_of_bracket_documents_exit_4(self, capsys, tmp_path, make):
+        path = tmp_path / "cert.json"
+        path.write_text(make())
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (4, "") and out.startswith("INVALID: index ")
 
     def test_deeply_nested_document_exits_1(self, capsys, tmp_path):
         path = tmp_path / "nested.json"

@@ -5,6 +5,7 @@ mpmath supplies the independent high-precision reference values; it is never
 used by the library itself.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, factorial, isqrt
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from test_acceptance import full_corpus
 
 from irrcert import certificates, enclosure
-from irrcert.certificates import Claim, ClaimKind, InconclusiveError, refute
+from irrcert.certificates import Claim, ClaimKind, InconclusiveError, check_certificate, refute
 from irrcert.enclosure import Func, enclose, even_series, exp_upper_bound
 from irrcert.exactnum import RatInterval
 from reference import TailKernel, tail_bound
@@ -476,6 +477,37 @@ def _assert_search_ends_by_itself(claim: Claim) -> None:
         assert cert.n <= m
     else:
         assert m <= cert.n <= m + 1
+    _assert_bracket(claim, cert)
+
+
+def _assert_bracket(claim: Claim, cert) -> None:
+    """The checker's bracket on n holds: no slot up to the kind's rise index
+    is a candidate, every candidate whose engine says it settles has an
+    attempt that succeeds, and the canonical n is at most the first of them.
+    Below the rise index, the pre-build check only takes over a rejection
+    the check pass would make."""
+    kind = certificates._KINDS[claim.kind]
+    delegated, _ = certificates._delegate(claim)
+    width = certificates._DEFAULT_TARGET_WIDTH
+    rise = kind.rise(delegated.arg) if kind.rise else -1
+    assert cert.n > rise
+    if rise >= 1:
+        forged = replace(cert, n=rise - 1)
+        assert check_certificate(forged).reason == (
+            f"index before the start of the search at n={rise + 1}")
+        assert certificates._check_pass(forged, kind, kind.engine(delegated, width)) is not None
+    engine = kind.engine(delegated, width)
+    positive = kind.mode is certificates.RefutationMode.POSITIVE_SQUEEZE
+    settled = None
+    for n, sequence, witness, below, attempt in engine.stream(None):
+        if settled is not None and n > max(settled, cert.n) + 1:
+            break
+        if below and (positive or witness != 0):
+            assert n > rise
+            if engine.settles(sequence):
+                assert attempt() is not None, (n, sequence)
+                settled = n if settled is None else settled
+    assert cert.n <= settled
 
 
 # the width-pinned certificates of tests/test_certificates.py
