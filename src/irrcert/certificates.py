@@ -385,12 +385,16 @@ class _ThreeTerm:
 # --------------------------------------------------------------------------
 
 def _tan_step(r: Fraction) -> Tuple[int, int]:
-    """The tan bound's step ratio a**2 / (4 b) as (num, den), for r = 2t = a/b."""
+    """The step ratio a**2 / (4 b) as (num, den) of the kernel bound
+    r (r**2/4)**n / n! scaled by b**n, for r = a/b: the tan engine's at
+    r = 2t, the pi engine's at the claimed value and the exp engine's at
+    the exponent."""
     return r.numerator ** 2, 4 * r.denominator
 
 
-def _tan_rise(t: Fraction) -> int:
+def _tan_rise(claim: Claim) -> int:
     """floor(ratio): |sin r| <= |r| makes the start at least q."""
+    t = claim.arg
     num, den = _tan_step(2 * t)
     return num // den if t else -1
 
@@ -418,12 +422,18 @@ def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # B_n = b**n (a/b) ((a/b)**2/4)**n / n! — an integer in (0, 1) once B_n < 1.
 # --------------------------------------------------------------------------
 
+def _pi_rise(claim: Claim) -> int:
+    """floor(ratio) once the start, the claimed value, is at least 1."""
+    num, den = _tan_step(claim.value)
+    return num // den if claim.value >= 1 else -1
+
+
 def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     value = claim.value
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi must be positive")
     a, b = value.numerator, value.denominator
-    return _ThreeTerm(tan_track(a, b, 2, 0), _Decay(value, Fraction(a * a, 4 * b)), ())
+    return _ThreeTerm(tan_track(a, b, 2, 0), _Decay(value, Fraction(*_tan_step(value))), ())
 
 
 # --------------------------------------------------------------------------
@@ -433,13 +443,27 @@ def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # the sqrt over-approximation goes into the transcript.
 # --------------------------------------------------------------------------
 
+def _pi_squared_step(value: Fraction) -> Tuple[int, int]:
+    """The step ratio a / 4 as (num, den), for the claimed value a/b."""
+    return value.numerator, 4
+
+
+def _pi_squared_rise(claim: Claim) -> int:
+    """floor(ratio) once the claimed value is at least 1: the start, an
+    upper bound on its square root, is then at least 1."""
+    num, den = _pi_squared_step(claim.value)
+    return num // den if claim.value >= 1 else -1
+
+
 def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     value = claim.value
     if value <= 0:
         raise DegenerateClaimError("claimed value of pi**2 must be positive")
     root_hi, record = _sqrt_record(value)
     a, b = value.numerator, value.denominator
-    return _ThreeTerm(pi_squared_track(a, b), _Decay(root_hi, Fraction(a, 4)), (record,))
+    return _ThreeTerm(
+        pi_squared_track(a, b), _Decay(root_hi, Fraction(*_pi_squared_step(value))), (record,)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +474,8 @@ def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # conditional, exact, and rational.
 # --------------------------------------------------------------------------
 
-def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
+def _exp_point(claim: Claim) -> Tuple[Fraction, Fraction]:
+    """The exponent t > 0 and the value p/q of the claim, normalized."""
     t = claim.arg
     if t == 0:
         raise DegenerateClaimError("exp claim requires a nonzero exponent")
@@ -459,8 +484,21 @@ def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
         raise DegenerateClaimError("claimed value of an exponential must be positive")
     if t < 0:
         t, value = -t, 1 / value
+    return t, value
+
+
+def _exp_rise(claim: Claim) -> int:
+    """floor(ratio) once the start p t is at least 1.  A degenerate claim
+    raises the engine's own error, so the checker's reason is unchanged."""
+    t, value = _exp_point(claim)
+    num, den = _tan_step(t)
+    return num // den if value.numerator * t >= 1 else -1
+
+
+def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
+    t, value = _exp_point(claim)
     p, q, a, b = value.numerator, value.denominator, t.numerator, t.denominator
-    return _ThreeTerm(exp_track(a, b, q, p), _Decay(p * t, Fraction(a * a, 4 * b)), ())
+    return _ThreeTerm(exp_track(a, b, q, p), _Decay(p * t, Fraction(*_tan_step(t))), ())
 
 
 # --------------------------------------------------------------------------
@@ -472,10 +510,11 @@ def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # the bound is q sqrt(s) a**n / (s sinc(4s) n!).
 # --------------------------------------------------------------------------
 
-def _tan_ratio_rise(s: Fraction) -> int:
+def _tan_ratio_rise(claim: Claim) -> int:
     """floor(ratio) = a: |sinc(4s)| <= 1 / (2 sqrt s) makes the start at
     least 2q."""
-    return s.numerator if s.numerator > 0 else -1
+    a = claim.arg.numerator
+    return a if a > 0 else -1
 
 
 def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
@@ -508,11 +547,13 @@ def _cos_step(s: Fraction) -> Tuple[int, int]:
     return (a * a, 4) if a > 0 else (2 * a * a, 1)
 
 
-def _cos_rise(s: Fraction) -> int:
-    """floor(ratio) once |s| >= 1: the gate's start b * hyper and every
-    weight are then at least 1."""
+def _cos_rise(claim: Claim) -> int:
+    """floor(ratio) once a**2 >= b, for s = a/b: the gate's start b * hyper
+    times the least weight, sqrt|s| or s**2 rounded up, is then at least
+    sqrt(|a| b) or a**2 / b, and so at least 1."""
+    s = claim.arg
     num, den = _cos_step(s)
-    return num // den if abs(s.numerator) >= s.denominator else -1
+    return num // den if s.numerator ** 2 >= s.denominator else -1
 
 
 class _CosSystem:
@@ -626,26 +667,27 @@ class _Kind(NamedTuple):
     mode: RefutationMode
     engine: Callable[[Claim, Fraction], _Engine]
     arg: Optional[str]  # the argument: "t", "s" = t**2, or None
+    # the engine claim mapped to floor(ratio), the peak of a bound
+    # start * ratio**n / n! whose start (times the least weight) is at least
+    # 1, so that no slot up to it is a candidate; -1 where that is not known.
+    # It reads the claim alone, before any enclosure is built
+    rise: Callable[[Claim], int]
     # squared-trig kinds only: the claimed value mapped to the value of cos 2r
     to_cos: Optional[Callable[[Fraction], Fraction]] = None
-    # the engine claim's argument mapped to floor(ratio), the peak of a bound
-    # start * ratio**n / n! whose start (times the least weight) is at least
-    # 1, so that no slot up to it is a candidate; -1 where that is not known
-    rise: Optional[Callable[[Fraction], int]] = None
 
 
 _NONZERO, _POSITIVE = RefutationMode.NONZERO_SQUEEZE, RefutationMode.POSITIVE_SQUEEZE
 
 _KINDS = {
-    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t", rise=_tan_rise),
-    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s", rise=_tan_ratio_rise),
-    ClaimKind.PI: _Kind(_POSITIVE, _pi_engine, None),
-    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None),
-    ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t"),
-    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s", rise=_cos_rise),
-    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 1 - 2 * value, _cos_rise),
-    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda value: 2 * value - 1, _cos_rise),
-    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _tan_sq_to_cos, _cos_rise),
+    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t", _tan_rise),
+    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s", _tan_ratio_rise),
+    ClaimKind.PI: _Kind(_POSITIVE, _pi_engine, None, _pi_rise),
+    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None, _pi_squared_rise),
+    ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t", _exp_rise),
+    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s", _cos_rise),
+    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda value: 1 - 2 * value),
+    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda value: 2 * value - 1),
+    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, _tan_sq_to_cos),
 }
 
 
@@ -796,7 +838,7 @@ def check_certificate(
         # no slot up to the bound's peak is a candidate; checked before the
         # engine builds its enclosures, with the slack of one index that
         # keeps the reason of an n - 1 mutant
-        first = kind.rise(claim.arg) + 1 if kind.rise else 0
+        first = kind.rise(claim) + 1
         if cert.n + 1 < first:
             return CheckResult(False, f"index before the start of the search at n={first}")
         engine = kind.engine(claim, width)

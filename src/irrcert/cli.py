@@ -194,7 +194,8 @@ def _cmd_verify(args, parser: _Parser) -> int:
 
 
 def _pair_row(pair) -> dict:
-    return {"u": list(pair.u.coeffs), "v": list(pair.v.coeffs)}
+    u, v = pair
+    return {"u": list(u.coeffs), "v": list(v.coeffs)}
 
 
 def _cmd_table(args, parser: _Parser) -> int:
@@ -204,10 +205,10 @@ def _cmd_table(args, parser: _Parser) -> int:
         rows = [{"n": n, "p": list(p.coeffs)} for n, p in enumerate(pi_sequence(args.n))]
     elif args.engine in ("tan", "exp"):
         pairs = (tan_sequence if args.engine == "tan" else exp_sequence)(args.n)
-        rows = [{"n": pair.n, **_pair_row(pair)} for pair in pairs]
+        rows = [{"n": n, **_pair_row(pair)} for n, pair in enumerate(pairs)]
     else:
-        rows = [{"n": state.n, **{letter: _pair_row(state.by_id(letter)) for letter in "IJKL"}}
-                for state in cos_system(args.n)]
+        rows = [{"n": n, **{letter: _pair_row(pair) for letter, pair in zip("IJKL", pairs)}}
+                for n, pairs in enumerate(cos_system(args.n))]
     doc = {"engine": args.engine, "variable": "s" if args.engine == "cos" else "r", "rows": rows}
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK

@@ -20,43 +20,20 @@ family, b**(2n+1) for the cos system): one value per index is all that the
 search, its checker and ``oracle-check`` need.  A tan-family track yields one
 value per index, a combination x u_n + y v_n; ``cos_track`` yields the four
 (u, v) pairs of I, J, K and L.  On ``IntPoly`` values at the generic point
-a = x, b = 1 the tracks yield the coordinate polynomials themselves;
-``tan_sequence``, ``pi_sequence``, ``exp_sequence`` and ``cos_system`` read
-them so for ``irrcert table`` and the identity tests.
+a = x, b = 1 the tracks yield the coordinate polynomials themselves, and
+``tan_sequence``, ``pi_sequence``, ``exp_sequence`` and ``cos_system`` return
+the tracks' own values there, for ``irrcert table`` and the identity tests:
+one (u_n, v_n) tuple per index of the tan and exp engines, one polynomial
+P_n per index of the pi engine, and per index of the cos system the four
+(u_n, v_n) pairs in I, J, K, L order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, List
 
 from .exactnum import IntPoly
-
-
-@dataclass(frozen=True)
-class SequencePair:
-    """Coordinates u, v of one integral in its two-element basis."""
-
-    n: int
-    u: IntPoly
-    v: IntPoly
-
-
-@dataclass(frozen=True)
-class CosSystemState:
-    """The four coupled sequences of the cos engine at one index n."""
-
-    n: int
-    I: SequencePair
-    J: SequencePair
-    K: SequencePair
-    L: SequencePair
-
-    def by_id(self, letter: str) -> SequencePair:
-        if letter not in ("I", "J", "K", "L"):
-            raise KeyError(f"unknown sequence id {letter!r}")
-        return getattr(self, letter)
 
 
 # --------------------------------------------------------------------------
@@ -137,13 +114,13 @@ def cos_track(a, b) -> Iterator[tuple]:
 _X, _ONE, _ZERO = IntPoly([0, 1]), IntPoly([1]), IntPoly()
 
 
-def _coordinates(track, n_max: int) -> List[SequencePair]:
+def _coordinates(track, n_max: int) -> List[tuple]:
     us, vs = track(_X, _ONE, _ONE, _ZERO), track(_X, _ONE, _ZERO, _ONE)
-    return [SequencePair(n, next(us), next(vs)) for n in range(n_max + 1)]
+    return list(islice(zip(us, vs), n_max + 1))
 
 
-def tan_sequence(n_max: int) -> List[SequencePair]:
-    """Tan-engine pairs; u_n, v_n satisfy w_n = (4n - 2) w_{n-1} - r**2 w_{n-2}."""
+def tan_sequence(n_max: int) -> List[tuple]:
+    """Tan-engine pairs (u_n, v_n); w_n = (4n - 2) w_{n-1} - r**2 w_{n-2}."""
     return _coordinates(tan_track, n_max)
 
 
@@ -154,13 +131,13 @@ def pi_sequence(n_max: int) -> List[IntPoly]:
     return list(islice(tan_track(_X, _ONE, IntPoly([2]), _ZERO), n_max + 1))
 
 
-def exp_sequence(n_max: int) -> List[SequencePair]:
-    """Exp-engine pairs; sign flips relative to the tan engine because the
-    weight e**x reproduces itself under integration by parts:
+def exp_sequence(n_max: int) -> List[tuple]:
+    """Exp-engine pairs (u_n, v_n); sign flips relative to the tan engine
+    because the weight e**x reproduces itself under integration by parts:
     w_n = -(4n - 2) w_{n-1} + r**2 w_{n-2}."""
     return _coordinates(exp_track, n_max)
 
 
-def cos_system(n_max: int) -> List[CosSystemState]:
-    return [CosSystemState(n, *(SequencePair(n, u, v) for u, v in pairs))
-            for n, pairs in zip(range(n_max + 1), cos_track(_X, _ONE))]
+def cos_system(n_max: int) -> List[tuple]:
+    """Per index, the (u_n, v_n) pairs of I, J, K and L, in that order."""
+    return list(islice(cos_track(_X, _ONE), n_max + 1))

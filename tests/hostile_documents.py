@@ -80,20 +80,39 @@ def forged_index_text(claim: Claim, forge) -> str:
     return to_canonical_json(replace(cert, n=forge(cert.n)))
 
 
-def huge_argument_text() -> str:
-    """The tan(1) = 1/2 certificate with its argument set to 10**7: 344 bytes
-    that parse, for a claim whose bound rises until n = 10**14."""
-    text = to_canonical_json(canonical(Claim(ClaimKind.TAN, Fraction(1), Fraction(1, 2))))
-    out = text.replace('"arg":"1/1"', '"arg":"10000000/1"', 1)
-    assert out != text and len(out) == 344
+def forged_claim_text(claim: Claim, field: str, old: str, new: str, size: int, n=None) -> str:
+    """The canonical certificate of ``claim`` with the first ``"field":"old"``
+    (the claim's own, as "claim" sorts before the enclosures) set to ``new``
+    and, if given, its index set to n: ``size`` bytes that parse, for a claim
+    whose bound rises far past that index."""
+    cert = canonical(claim)
+    text = to_canonical_json(cert if n is None else replace(cert, n=n))
+    out = text.replace(f'"{field}":"{old}"', f'"{field}":"{new}"', 1)
+    assert out != text and len(out) == size
     return out
 
 
 # name -> function giving the document
 OUT_OF_BRACKET = {
-    "huge_argument": huge_argument_text,
+    # tan(1) = 1/2 at t = 10**7: the bound rises until n = 10**14
+    "huge_argument": partial(forged_claim_text, Claim(ClaimKind.TAN, Fraction(1), Fraction(1, 2)),
+                             "arg", "1/1", "10000000/1", 344),
     "cos_49_9_n_tripled": partial(forged_index_text, COS_49_9, lambda n: 3 * n),
+    # each below at n = 2 * 10**4, far below its bound's peak; without the
+    # lower check the checker steps the tracks all the way there, in time
+    # quadratic in n
+    "pi_huge_value": partial(forged_claim_text, PI_22_7, "value", "22/7", "10000000/1", 485, 20000),
+    "pi_squared_huge_value": partial(
+        forged_claim_text, Claim(ClaimKind.PI_SQUARED, None, Fraction(10)),
+        "value", "10/1", "100000000/1", 361, 20000),
+    "exp_huge_argument": partial(forged_claim_text, Claim(ClaimKind.EXP, Fraction(1), Fraction(3)),
+                                 "arg", "1/1", "1000/1", 178, 20000),
 }
+OUT_OF_BRACKET.update(
+    (f"cos_s_{name}", partial(forged_claim_text, Claim(ClaimKind.COS, Fraction(1), Fraction(1, 2)),
+                              "arg", "1/1", arg, size, 20000))
+    for name, arg, size in (("999_1000", "999/1000", 365), ("minus_999_1000", "-999/1000", 366))
+)
 OUT_OF_BRACKET.update(
     (f"pi_22_7_n_1e{e}", partial(forged_index_text, PI_22_7, lambda n, e=e: 10**e))
     for e in (4, 5, 6)

@@ -10,7 +10,6 @@ from math import factorial
 from irrcert import oracle
 from irrcert.enclosure import exp_upper_bound
 from irrcert.exactnum import IntPoly, sqrt_bounds
-from irrcert.recurrences import CosSystemState
 
 
 class DegreeBoundError(ValueError):
@@ -88,13 +87,12 @@ def odd_part_in_square(p: IntPoly) -> IntPoly:
     return IntPoly(p.coeffs[1::2])
 
 
-def descent_identity_check(state: CosSystemState) -> bool:
-    """Verify L_n = (4n+3) K_n + s J_n - (2n+1) s I_n exactly (n >= 1)."""
-    n = state.n
+def descent_identity_check(n: int, pairs) -> bool:
+    """Verify L_n = (4n+3) K_n + s J_n - (2n+1) s I_n exactly (n >= 1), for
+    the cos system's (u, v) pairs of I, J, K and L at index n."""
     if n < 1:
         raise ValueError("descent identity holds for n >= 1")
-    for c in ("u", "v"):
-        i, j, k, l = (getattr(getattr(state, letter), c) for letter in "IJKL")
+    for i, j, k, l in zip(*pairs):
         if l != (4 * n + 3) * k + shift(j, 1) - (2 * n + 1) * shift(i, 1):
             return False
     return True

@@ -150,19 +150,19 @@ def midpoint_for(fn: Func, arg: Fraction, scale: Fraction) -> Fraction:
 
 def symbolic_value(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
     if family is IntegrandFamily.SIN_KERNEL:
-        pair = tan_sequence(n)[n]
-        u_val, v_val = eval_rational(pair.u, r), eval_rational(pair.v, r)
+        u, v = tan_sequence(n)[n]
+        u_val, v_val = eval_rational(u, r), eval_rational(v, r)
         return u_val * (1 - midpoint_for(Func.COS, r, u_val)) + v_val * midpoint_for(
             Func.SIN, r, v_val
         )
     if family is IntegrandFamily.EXP_KERNEL:
-        pair = exp_sequence(n)[n]
-        u_val, v_val = eval_rational(pair.u, r), eval_rational(pair.v, r)
+        u, v = exp_sequence(n)[n]
+        u_val, v_val = eval_rational(u, r), eval_rational(v, r)
         return u_val + v_val * midpoint_for(Func.EXP, r, v_val)
     letter = family.value.split("-")[1]
-    pair = cos_system(n)[n].by_id(letter)
+    u, v = cos_system(n)[n]["IJKL".index(letter)]
     s = r * r
-    u_val, v_val = eval_rational(pair.u, s), eval_rational(pair.v, s)
+    u_val, v_val = eval_rational(u, s), eval_rational(v, s)
     return u_val + v_val * midpoint_for(Func.COS, r, v_val)
 
 
@@ -181,22 +181,22 @@ def test_criterion_1_exact_identities():
     pi = pi_sequence(50)
     states = cos_system(50)
     checks = 0
-    for n, pair in enumerate(tan):
-        assert pair.u.degree <= n and pair.v.degree <= n
-        assert all(c == 0 for c in pair.u.coeffs[1::2]), "u must be even"
-        assert all(c == 0 for c in pair.v.coeffs[0::2]), "v must be odd"
-        assert pi[n] == 2 * pair.u
+    for n, (u, v) in enumerate(tan):
+        assert u.degree <= n and v.degree <= n
+        assert all(c == 0 for c in u.coeffs[1::2]), "u must be even"
+        assert all(c == 0 for c in v.coeffs[0::2]), "v must be odd"
+        assert pi[n] == 2 * u
         checks += 4
-    for n, state in enumerate(states):
-        for pair in (state.I, state.J, state.K, state.L):
-            assert pair.u.degree <= 2 * n + 1 and pair.v.degree <= 2 * n + 1
+    for n, pairs in enumerate(states):
+        for u, v in pairs:
+            assert u.degree <= 2 * n + 1 and v.degree <= 2 * n + 1
             checks += 1
         if n >= 1:
-            assert descent_identity_check(state)
+            assert descent_identity_check(n, pairs)
             checks += 1
-    anchor = state0 = states[0]
-    assert 2 * anchor.I.u + state0.K.u == IntPoly([0, 1])
-    assert 2 * anchor.I.v + state0.K.v == IntPoly([])
+    (iu, iv), _, (ku, kv), _ = states[0]
+    assert 2 * iu + ku == IntPoly([0, 1])
+    assert 2 * iv + kv == IntPoly([])
     checks += 2
     elapsed = time.perf_counter() - start
     ok_line(

@@ -318,12 +318,12 @@ class TestChecker:
 
         claim = Claim(ClaimKind.COS, F(1), F(1, 2))
         cert = refute(claim)
-        pair = cos_system(1)[1].J
-        witness = 2 * eval_scaled_integer(pair.u, 1, 1, 3) + 1 * eval_scaled_integer(pair.v, 1, 1, 3)
+        _, (ju, jv), _, _ = cos_system(1)[1]
+        witness = 2 * eval_scaled_integer(ju, 1, 1, 3) + 1 * eval_scaled_integer(jv, 1, 1, 3)
         assert witness == -10
         accepted = _CosSystem(claim, _DEFAULT_TARGET_WIDTH)._attempt(
-            eval_scaled_integer(pair.u, 1, 1, 3),
-            eval_scaled_integer(pair.v, 1, 1, 3),
+            eval_scaled_integer(ju, 1, 1, 3),
+            eval_scaled_integer(jv, 1, 1, 3),
         )
         assert accepted is not None
         bound, enclosures = accepted

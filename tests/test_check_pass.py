@@ -16,7 +16,7 @@ from functools import partial
 
 import pytest
 from hostile_documents import (
-    COS_49_9, PI_22_7, forged_index_text, huge_argument_text,
+    COS_49_9, OUT_OF_BRACKET, PI_22_7, forged_index_text,
 )
 from test_acceptance import corpus_certificates, full_corpus, mutations
 
@@ -134,13 +134,32 @@ def test_huge_argument_is_rejected_before_the_engine_builds(monkeypatch):
     def no_enclosure(*args):
         raise AssertionError("the checker built the zero-excluding enclosure")
 
-    cert = certificate_from_json(huge_argument_text())
+    cert = certificate_from_json(OUT_OF_BRACKET["huge_argument"]())
     monkeypatch.setattr(certificates, "_enclosure_away_from_zero", no_enclosure)
     start = time.perf_counter()
     result = check_certificate(cert)
     assert time.perf_counter() - start < 1
     assert (result.ok, result.reason) == (
         False, f"index before the start of the search at n={10**14 + 1}")
+
+
+@pytest.mark.parametrize("claim, degenerate, reason", [
+    (Claim(ClaimKind.EXP, F(1), F(3)), Claim(ClaimKind.EXP, F(0), F(3)),
+     "exp claim requires a nonzero exponent"),
+    (Claim(ClaimKind.EXP, F(1), F(3)), Claim(ClaimKind.EXP, F(-1), F(-3)),
+     "claimed value of an exponential must be positive"),
+    (Claim(ClaimKind.PI, None, F(3)), Claim(ClaimKind.PI, None, F(-3)),
+     "claimed value of pi must be positive"),
+    (Claim(ClaimKind.PI_SQUARED, None, F(3)), Claim(ClaimKind.PI_SQUARED, None, F(0)),
+     "claimed value of pi**2 must be positive"),
+    (Claim(ClaimKind.COS, F(1), F(1, 2)), Claim(ClaimKind.COS, F(0), F(1, 2)),
+     "cos claim requires a nonzero squared argument"),
+], ids=["exp_t_0", "exp_negative", "pi_negative", "pi_squared_0", "cos_s_0"])
+def test_a_degenerate_claim_keeps_its_reason_before_the_lower_check(claim, degenerate, reason):
+    # the lower check reads the claim before the engine does, and must leave
+    # the engine's own refusal as the reason
+    result = check_certificate(replace(refute(claim), claim=degenerate))
+    assert (result.ok, result.reason) == (False, f"claim rejected on replay: {reason}")
 
 
 def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):

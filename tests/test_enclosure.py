@@ -489,7 +489,7 @@ def _assert_bracket(claim: Claim, cert) -> None:
     kind = certificates._KINDS[claim.kind]
     delegated, _ = certificates._delegate(claim)
     width = certificates._DEFAULT_TARGET_WIDTH
-    rise = kind.rise(delegated.arg) if kind.rise else -1
+    rise = kind.rise(delegated)
     assert cert.n > rise
     if rise >= 1:
         forged = replace(cert, n=rise - 1)
@@ -516,13 +516,20 @@ FINE_WIDTH_CLAIMS = (
     Claim(ClaimKind.COS, Fraction(-4), Fraction(376, 100)),
 )
 
-# start < 1: pi = value, exp (normalized to t > 0) p * t, pi**2 sqrt(value)
+# start < 1: pi = value, exp (normalized to t > 0) p * t, pi**2 sqrt(value),
+# cos (s = a/b) the gate's start b times the least weight, about a**2 / b for
+# s < 1.  The last four certify at n = 0 although floor(ratio) >= 1, so a rise
+# that ignored the start would reject them before the search starts
 START_BELOW_ONE_CLAIMS = (
     Claim(ClaimKind.PI, None, Fraction(1, 2)),
     Claim(ClaimKind.PI, None, Fraction(39, 40)),
     Claim(ClaimKind.EXP, Fraction(1, 6), Fraction(1, 40)),
     Claim(ClaimKind.EXP, Fraction(-1, 6), Fraction(40)),
     Claim(ClaimKind.PI_SQUARED, None, Fraction(1, 3)),
+    Claim(ClaimKind.PI, None, Fraction(9, 10)),
+    Claim(ClaimKind.EXP, Fraction(9, 20), Fraction(2, 3)),
+    Claim(ClaimKind.PI_SQUARED, None, Fraction(9, 10)),
+    Claim(ClaimKind.COS, Fraction(2, 5), Fraction(1, 3)),
 )
 
 
@@ -570,7 +577,13 @@ class TestSearchEndsWithoutCap:
 
     @pytest.mark.parametrize("claim", START_BELOW_ONE_CLAIMS)
     def test_start_below_one(self, claim):
-        assert _crossing_and_old_cap(claim)[0] == 0
+        if claim.kind is ClaimKind.COS:
+            # the crossing above carries the prefactor q b >= 1, so read the
+            # gate's start times the least weight directly
+            engine = certificates._CosSystem(claim, certificates._DEFAULT_TARGET_WIDTH)
+            assert engine.gate.below_one(min(engine.weights))
+        else:
+            assert _crossing_and_old_cap(claim)[0] == 0
         assert refute(claim).n == 0
         _assert_search_ends_by_itself(claim)
 

@@ -31,8 +31,7 @@ BUILDING_BLOCKS = {
     "enclosure": ("Func", "enclose"),
     "exactnum": ("IntPoly", "RatInterval", "format_rational", "parse_rational", "sqrt_bounds"),
     "oracle": ("IntegrandFamily", "integrate"),
-    "recurrences": ("CosSystemState", "SequencePair", "cos_system", "exp_sequence",
-                    "pi_sequence", "tan_sequence"),
+    "recurrences": ("cos_system", "exp_sequence", "pi_sequence", "tan_sequence"),
 }
 
 
@@ -80,6 +79,16 @@ def test_the_test_only_reference_code_is_gone_from_the_package(owner, name):
     module, _, cls = owner.partition(".")
     found = importlib.import_module(f"irrcert.{module}")
     assert not hasattr(getattr(found, cls) if cls else found, name)
+
+
+@pytest.mark.parametrize("name", ["SequencePair", "CosSystemState"])
+def test_the_polynomial_views_have_no_wrapper_type(name):
+    # tan_sequence, exp_sequence and cos_system return the tracks' own (u, v)
+    # tuples, so recurrences defines no type to hold them
+    recurrences = importlib.import_module("irrcert.recurrences")
+    assert not hasattr(recurrences, name)
+    assert [key for key, value in vars(recurrences).items()
+            if isinstance(value, type) and value.__module__ == recurrences.__name__] == []
 
 
 def test_the_package_imports_only_the_standard_library_and_itself():

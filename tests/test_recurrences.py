@@ -30,24 +30,24 @@ N_AUDIT = 16
 class TestTanEngine:
     def test_initial_pairs(self):
         pairs = tan_sequence(3)
-        assert [p.u.coeffs for p in pairs] == [(1,), (2,), (12, 0, -1), (120, 0, -12)]
-        assert [p.v.coeffs for p in pairs] == [(), (0, -1), (0, -6), (0, -60, 0, 1)]
-        assert [p.n for p in pairs] == [0, 1, 2, 3]
+        assert [u.coeffs for u, _ in pairs] == [(1,), (2,), (12, 0, -1), (120, 0, -12)]
+        assert [v.coeffs for _, v in pairs] == [(), (0, -1), (0, -6), (0, -60, 0, 1)]
+        assert len(pairs) == 4
 
     def test_recurrence_step(self):
         # w_n = (4n-2) w_{n-1} - r**2 w_{n-2}, applied to both coordinates
         pairs = tan_sequence(10)
         for n in range(2, 11):
             k = 4 * n - 2
-            assert pairs[n].u == k * pairs[n - 1].u - shift(pairs[n - 2].u, 2)
-            assert pairs[n].v == k * pairs[n - 1].v - shift(pairs[n - 2].v, 2)
+            for c in (0, 1):
+                assert pairs[n][c] == k * pairs[n - 1][c] - shift(pairs[n - 2][c], 2)
 
     def test_parity_and_degree(self):
-        for pair in tan_sequence(N_AUDIT):
-            assert pair.u.degree <= pair.n
-            assert pair.v.degree <= pair.n
-            assert not any(pair.u.coeffs[1::2]), "u_n must be even"
-            assert not any(pair.v.coeffs[0::2]), "v_n must be odd"
+        for n, (u, v) in enumerate(tan_sequence(N_AUDIT)):
+            assert u.degree <= n
+            assert v.degree <= n
+            assert not any(u.coeffs[1::2]), "u_n must be even"
+            assert not any(v.coeffs[0::2]), "v_n must be odd"
 
 
 class TestPiEngine:
@@ -58,7 +58,7 @@ class TestPiEngine:
     def test_doubles_tan_u(self):
         tans = tan_sequence(N_AUDIT)
         for n, poly in enumerate(pi_sequence(N_AUDIT)):
-            assert poly == 2 * tans[n].u
+            assert poly == 2 * tans[n][0]
 
     def test_even_parity(self):
         for poly in pi_sequence(N_AUDIT):
@@ -68,60 +68,50 @@ class TestPiEngine:
 class TestExpEngine:
     def test_initial_pairs(self):
         pairs = exp_sequence(2)
-        assert [p.u.coeffs for p in pairs] == [(-1,), (2, 1), (-12, -6, -1)]
-        assert [p.v.coeffs for p in pairs] == [(1,), (-2, 1), (12, -6, 1)]
+        assert [u.coeffs for u, _ in pairs] == [(-1,), (2, 1), (-12, -6, -1)]
+        assert [v.coeffs for _, v in pairs] == [(1,), (-2, 1), (12, -6, 1)]
 
     def test_recurrence_step(self):
         # I_n = -(4n-2) I_{n-1} + r**2 I_{n-2}
         pairs = exp_sequence(10)
         for n in range(2, 11):
             k = 4 * n - 2
-            assert pairs[n].u == -k * pairs[n - 1].u + shift(pairs[n - 2].u, 2)
-            assert pairs[n].v == -k * pairs[n - 1].v + shift(pairs[n - 2].v, 2)
+            for c in (0, 1):
+                assert pairs[n][c] == -k * pairs[n - 1][c] + shift(pairs[n - 2][c], 2)
 
     def test_value_at_one(self):
         # I_1 = u_1(1) + v_1(1) e = 3 - e
-        pair = exp_sequence(1)[1]
-        assert eval_rational(pair.u, Fraction(1)) == 3
-        assert eval_rational(pair.v, Fraction(1)) == -1
+        u, v = exp_sequence(1)[1]
+        assert eval_rational(u, Fraction(1)) == 3
+        assert eval_rational(v, Fraction(1)) == -1
 
     def test_degree_bound(self):
-        for pair in exp_sequence(N_AUDIT):
-            assert pair.u.degree <= pair.n
-            assert pair.v.degree <= pair.n
+        for n, (u, v) in enumerate(exp_sequence(N_AUDIT)):
+            assert u.degree <= n
+            assert v.degree <= n
 
 
 class TestCosSystem:
     def test_initial_state(self):
-        state = cos_system(0)[0]
-        assert (state.I.u.coeffs, state.I.v.coeffs) == ((1,), (-1,))
-        assert (state.J.u.coeffs, state.J.v.coeffs) == ((1,), (-1,))
-        assert (state.K.u.coeffs, state.K.v.coeffs) == ((-2, 1), (2,))
-        assert (state.L.u.coeffs, state.L.v.coeffs) == ((-6, 3), (6,))
+        (iu, iv), (ju, jv), (ku, kv), (lu, lv) = cos_system(0)[0]
+        assert (iu.coeffs, iv.coeffs) == ((1,), (-1,))
+        assert (ju.coeffs, jv.coeffs) == ((1,), (-1,))
+        assert (ku.coeffs, kv.coeffs) == ((-2, 1), (2,))
+        assert (lu.coeffs, lv.coeffs) == ((-6, 3), (6,))
 
     def test_first_step_values(self):
-        state = cos_system(1)[1]
-        assert (state.I.u.coeffs, state.I.v.coeffs) == ((-24, 10), (24, 2))
+        (iu, iv), _, _, _ = cos_system(1)[1]
+        assert (iu.coeffs, iv.coeffs) == ((-24, 10), (24, 2))
 
     def test_update_equations(self):
         # I_n = 4 L_{n-1} - 2s J_{n-1}; J_n = (4n+1) I_n - 2s K_{n-1};
         # K_n = -(4n+2) J_n + 2s L_{n-1}; L_n = (4n+3) K_n + 2ns I_n - 2s**2 K_{n-1}
         states = cos_system(8)
         for n in range(1, 9):
-            prev, cur = states[n - 1], states[n]
-            for attr in ("u", "v"):
-                i_p, j_p, k_p, l_p = (
-                    getattr(prev.I, attr),
-                    getattr(prev.J, attr),
-                    getattr(prev.K, attr),
-                    getattr(prev.L, attr),
-                )
-                i_c, j_c, k_c, l_c = (
-                    getattr(cur.I, attr),
-                    getattr(cur.J, attr),
-                    getattr(cur.K, attr),
-                    getattr(cur.L, attr),
-                )
+            # zip(*pairs) gives the u coordinates of I, J, K, L, then the v ones
+            for (i_p, j_p, k_p, l_p), (i_c, j_c, k_c, l_c) in zip(
+                zip(*states[n - 1]), zip(*states[n])
+            ):
                 assert i_c == 4 * l_p - 2 * shift(j_p, 1)
                 assert j_c == (4 * n + 1) * i_c - 2 * shift(k_p, 1)
                 assert k_c == -(4 * n + 2) * j_c + 2 * shift(l_p, 1)
@@ -130,29 +120,23 @@ class TestCosSystem:
     def test_anchor_identity(self):
         # 2 I_0 + K_0 = (s, 0): vanishing from some index onward would
         # propagate back and contradict s != 0
-        state = cos_system(0)[0]
-        assert 2 * state.I.u + state.K.u == IntPoly([0, 1])
-        assert 2 * state.I.v + state.K.v == IntPoly([])
+        (iu, iv), _, (ku, kv), _ = cos_system(0)[0]
+        assert 2 * iu + ku == IntPoly([0, 1])
+        assert 2 * iv + kv == IntPoly([])
 
     def test_descent_identity(self):
-        for state in cos_system(N_AUDIT)[1:]:
-            assert descent_identity_check(state)
+        for n, pairs in enumerate(cos_system(N_AUDIT)[1:], 1):
+            assert descent_identity_check(n, pairs)
 
     def test_descent_identity_rejects_index_zero(self):
         with pytest.raises(ValueError):
-            descent_identity_check(cos_system(0)[0])
+            descent_identity_check(0, cos_system(0)[0])
 
     def test_degree_bound(self):
-        for state in cos_system(N_AUDIT):
-            for pair in (state.I, state.J, state.K, state.L):
-                assert pair.u.degree <= 2 * pair.n + 1
-                assert pair.v.degree <= 2 * pair.n + 1
-
-    def test_by_id(self):
-        state = cos_system(0)[0]
-        assert state.by_id("K") is state.K
-        with pytest.raises(KeyError):
-            state.by_id("X")
+        for n, pairs in enumerate(cos_system(N_AUDIT)):
+            for u, v in pairs:
+                assert u.degree <= 2 * n + 1
+                assert v.degree <= 2 * n + 1
 
 
 # --------------------------------------------------------------------------
@@ -185,9 +169,8 @@ class TestScalarTracks:
     @track_settings
     @given(a=signed_num, b=den, x=coeff, y=coeff)
     def test_tan(self, a, b, x, y):
-        expected = [x * eval_scaled_integer(pair.u, a, b, pair.n)
-                    + y * eval_scaled_integer(pair.v, a, b, pair.n)
-                    for pair in _polys("tan")]
+        expected = [x * eval_scaled_integer(u, a, b, n) + y * eval_scaled_integer(v, a, b, n)
+                    for n, (u, v) in enumerate(_polys("tan"))]
         assert _take(tan_track(a, b, x, y)) == expected
 
     @track_settings
@@ -206,30 +189,28 @@ class TestScalarTracks:
     @track_settings
     @given(a=positive_num, b=den, x=coeff, y=coeff)
     def test_exp(self, a, b, x, y):
-        expected = [x * eval_scaled_integer(pair.u, a, b, pair.n)
-                    + y * eval_scaled_integer(pair.v, a, b, pair.n)
-                    for pair in _polys("exp")]
+        expected = [x * eval_scaled_integer(u, a, b, n) + y * eval_scaled_integer(v, a, b, n)
+                    for n, (u, v) in enumerate(_polys("exp"))]
         assert _take(exp_track(a, b, x, y)) == expected
 
     @track_settings
     @given(a=positive_num, b=den, x=coeff, y=coeff)
     def test_tan_ratio_parity_parts(self, a, b, x, y):
-        expected = [x * eval_scaled_integer(even_part_in_square(pair.u), 4 * a, b, pair.n)
-                    + y * eval_scaled_integer(odd_part_in_square(pair.v), 4 * a, b, pair.n)
-                    for pair in _polys("tan")]
+        expected = [x * eval_scaled_integer(even_part_in_square(u), 4 * a, b, n)
+                    + y * eval_scaled_integer(odd_part_in_square(v), 4 * a, b, n)
+                    for n, (u, v) in enumerate(_polys("tan"))]
         assert _take(tan_ratio_track(a, b, x, y)) == expected
 
     @track_settings
     @given(a=signed_num.filter(bool), b=den)
     def test_cos_all_eight(self, a, b):
-        for state, track in zip(_polys("cos"), cos_track(a, b)):
-            exponent = 2 * state.n + 1
-            for k, letter in enumerate("IJKL"):
-                pair = state.by_id(letter)
+        for n, (pairs, track) in enumerate(zip(_polys("cos"), cos_track(a, b))):
+            exponent = 2 * n + 1
+            for k, (letter, (u, v)) in enumerate(zip("IJKL", pairs)):
                 assert track[k] == (
-                    eval_scaled_integer(pair.u, a, b, exponent),
-                    eval_scaled_integer(pair.v, a, b, exponent),
-                ), (state.n, letter)
+                    eval_scaled_integer(u, a, b, exponent),
+                    eval_scaled_integer(v, a, b, exponent),
+                ), (n, letter)
 
     def test_cos_degree_fence(self):
         # cos_track emits every value at b**(2n+1); test_cos_all_eight reads
@@ -240,8 +221,8 @@ class TestScalarTracks:
         # <= 2n - 1, J_n = (4n+1) I_n - 2s K at most 2n, K_n = -(4n+2) J_n
         # + 2s L at most 2n, and L_n = (4n+3) K_n + 2ns I_n - 2s**2 K at
         # most 2n + 1 (L, J, K on the right at n - 1).
-        for n, state in enumerate(cos_system(N_DEGREE_FENCE)):
-            for pair in (state.I, state.J):
-                assert max(pair.u.degree, pair.v.degree) <= 2 * n, (n, "IJ")
-            for pair in (state.K, state.L):
-                assert max(pair.u.degree, pair.v.degree) <= 2 * n + 1, (n, "KL")
+        for n, (i, j, k, l) in enumerate(cos_system(N_DEGREE_FENCE)):
+            for u, v in (i, j):
+                assert max(u.degree, v.degree) <= 2 * n, (n, "IJ")
+            for u, v in (k, l):
+                assert max(u.degree, v.degree) <= 2 * n + 1, (n, "KL")
