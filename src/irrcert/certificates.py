@@ -180,15 +180,6 @@ class InconclusiveError(RefutationError):
         super().__init__(f"no certificate up to n={last_n} (largest bound seen: {shown})")
 
 
-def _resolve_width(target_width: Optional[Fraction]) -> Fraction:
-    if target_width is None:
-        return _DEFAULT_TARGET_WIDTH
-    width = Fraction(target_width)
-    if width <= 0:
-        raise ValueError("target width must be positive")
-    return width
-
-
 def _enclosure_away_from_zero(
     fn: Func, arg: Fraction, start_width: Fraction
 ) -> Tuple[RatInterval, EnclosureRecord]:
@@ -704,21 +695,17 @@ def _delegate(claim: Claim) -> Tuple[Claim, Optional[TransformRecord]]:
     return delegated, TransformRecord(identity=claim.kind.value, delegated=delegated)
 
 
-def refute(
-    claim: Claim,
-    n_cap: Optional[int] = None,
-    target_width: Optional[Fraction] = None,
-) -> Certificate:
+def refute(claim: Claim, n_cap: Optional[int] = None) -> Certificate:
     """The canonical certificate: the first slot of the claim's stream that
     is a candidate and whose attempt succeeds.  A candidate's bound (or
     gate) is below 1 and, for the nonzero squeeze, its witness is nonzero.
-    Deterministic for fixed claim/cap/width.
+    Deterministic for fixed claim and cap.
 
     Without n_cap the search always ends with a certificate (README, "Why
     every search ends"); reaching a given n_cap raises InconclusiveError."""
     engine_claim, transform = _delegate(claim)
     kind = _KINDS[claim.kind]
-    engine = kind.engine(engine_claim, _resolve_width(target_width))
+    engine = kind.engine(engine_claim, _DEFAULT_TARGET_WIDTH)
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     for n, sequence, witness, below, attempt in engine.stream(n_cap):
         if below and (positive or witness != 0):
@@ -808,9 +795,7 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
     return None
 
 
-def check_certificate(
-    cert: Certificate, target_width: Optional[Fraction] = None
-) -> CheckResult:
+def check_certificate(cert: Certificate) -> CheckResult:
     """VALID iff every stored field reproduces from the claim alone and the
     certificate is the canonical search result for its claim.
 
@@ -822,11 +807,7 @@ def check_certificate(
     rest at the end.  The search stops at the first candidate whose attempt
     succeeds, so once the own fields reproduce, the certificate is canonical
     exactly when every earlier attempt fails; the search is never rerun.
-
-    A certificate produced with a non-default target width verifies only
-    when the same width is passed here; the replay is claim-driven.
     """
-    width = _resolve_width(target_width)
     problem = _check_structure(cert)
     if problem is not None:
         return CheckResult(False, problem)
@@ -841,7 +822,7 @@ def check_certificate(
         first = kind.rise(claim) + 1
         if cert.n + 1 < first:
             return CheckResult(False, f"index before the start of the search at n={first}")
-        engine = kind.engine(claim, width)
+        engine = kind.engine(claim, _DEFAULT_TARGET_WIDTH)
     except RefutationError as exc:
         return CheckResult(False, f"claim rejected on replay: {exc}")
     problem = _check_pass(cert, kind, engine)

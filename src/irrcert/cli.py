@@ -1,6 +1,5 @@
 """Command-line frontend: refute claims, verify certificates, dump
-recurrence tables, and cross-check the recurrences against the quadrature
-oracle.
+recurrence tables, and check the recurrences against the exact integrals.
 
 Exit codes are a stable contract:
   0  success
@@ -21,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .certificates import (
     _KINDS,
@@ -36,7 +35,6 @@ from .certificates import (
     refute,
     to_canonical_json,
 )
-from .enclosure import Func, enclose
 from .exactnum import format_rational, parse_rational
 from .oracle import IntegrandFamily, integrate
 from .recurrences import (
@@ -137,10 +135,8 @@ def _cmd_refute(args, parser: _Parser) -> int:
     claim = _build_claim(args, parser)
     if args.n_cap is not None and args.n_cap < 0:
         parser.error("--n-cap must be nonnegative")
-    if args.target_width is not None and args.target_width <= 0:
-        parser.error("--target-width must be positive")
     try:
-        cert = refute(claim, n_cap=args.n_cap, target_width=args.target_width)
+        cert = refute(claim, n_cap=args.n_cap)
     except (DegenerateClaimError, NegativeSquareUnsupportedError) as exc:
         sys.stderr.write(f"degenerate claim: {exc}\n")
         return EXIT_DEGENERATE
@@ -171,8 +167,6 @@ def _cmd_refute(args, parser: _Parser) -> int:
 
 
 def _cmd_verify(args, parser: _Parser) -> int:
-    if args.target_width is not None and args.target_width <= 0:
-        parser.error("--target-width must be positive")
     try:
         with open(args.certificate, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
@@ -185,7 +179,7 @@ def _cmd_verify(args, parser: _Parser) -> int:
     except ValueError as exc:
         sys.stderr.write(f"malformed certificate: {exc}\n")
         return EXIT_USAGE
-    result = check_certificate(cert, target_width=args.target_width)
+    result = check_certificate(cert)
     if result.ok:
         sys.stdout.write("VALID\n")
         return EXIT_OK
@@ -214,32 +208,19 @@ def _cmd_table(args, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _scaled_midpoint(fn: Func, arg: Fraction, width: Fraction, scale: Fraction) -> Fraction:
-    # the coefficient multiplying the transcendental grows with n while the
-    # integral shrinks, so shrink the enclosure width by the coefficient to
-    # keep the product error at the requested width
-    effective = width / max(1, 2 * abs(scale))
-    return enclose(fn, arg, effective).midpoint()
-
-
-def _symbolic_value(family: IntegrandFamily, n: int, r: Fraction, width: Fraction) -> Fraction:
-    """Recurrence-side value of the integral via enclosure midpoints."""
+def _recurrence_value(family: IntegrandFamily, n: int, r: Fraction) -> Tuple[Fraction, ...]:
+    """The tracks' (u_n, v_n) at r, as coefficients on integrate's basis."""
     a, b = r.numerator, r.denominator
     if family in (IntegrandFamily.SIN_KERNEL, IntegrandFamily.EXP_KERNEL):
         track = tan_track if family is IntegrandFamily.SIN_KERNEL else exp_track
-        u_val, v_val = (
+        u, v = (
             Fraction(next(islice(track(a, b, x, y), n, None)), b ** n) for x, y in ((1, 0), (0, 1))
         )
-    else:
-        pairs = next(islice(cos_track(a * a, b * b), n, None))
-        pair = pairs["IJKL".index(family.value.split("-")[1])]
-        u_val, v_val = (Fraction(w, (b * b) ** (2 * n + 1)) for w in pair)
-    if family is IntegrandFamily.SIN_KERNEL:
-        cos_mid = _scaled_midpoint(Func.COS, r, width, u_val)
-        sin_mid = _scaled_midpoint(Func.SIN, r, width, v_val)
-        return u_val * (1 - cos_mid) + v_val * sin_mid
-    fn = Func.EXP if family is IntegrandFamily.EXP_KERNEL else Func.COS
-    return u_val + v_val * _scaled_midpoint(fn, r, width, v_val)
+        # the tan engine's basis is (1 - cos r, sin r)
+        return (u, -u, v) if family is IntegrandFamily.SIN_KERNEL else (u, v)
+    pairs = next(islice(cos_track(a * a, b * b), n, None))
+    u, v = (Fraction(w, b ** (4 * n + 2)) for w in pairs["IJKL".index(family.value[-1])])
+    return u, v, Fraction(0)
 
 
 def _cmd_oracle_check(args, parser: _Parser) -> int:
@@ -248,20 +229,13 @@ def _cmd_oracle_check(args, parser: _Parser) -> int:
     if args.n < 0:
         parser.error("--n must be nonnegative")
     family = IntegrandFamily(args.family)
-    try:
-        estimate, error_estimate = integrate(
-            family, args.n, args.r, args.subdivisions, args.precision_bits
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    width = Fraction(1, 2 ** args.precision_bits)
-    symbolic = _symbolic_value(family, args.n, args.r, width)
-    difference = abs(symbolic - estimate)
-    sys.stdout.write(f"symbolic: {format_decimal(symbolic, 40)}\n")
-    sys.stdout.write(f"oracle: {format_decimal(estimate, 40)}\n")
-    sys.stdout.write(f"difference: {format_decimal(difference, 40)}\n")
-    sys.stdout.write(f"error_estimate: {format_decimal(error_estimate, 40)}\n")
-    return EXIT_OK if difference < 10 * error_estimate else EXIT_MISMATCH
+    recurrence = _recurrence_value(family, args.n, args.r)
+    integral = integrate(family, args.n, args.r)
+    basis = "1 exp(r)" if family is IntegrandFamily.EXP_KERNEL else "1 cos(r) sin(r)"
+    sys.stdout.write(f"basis: {basis}\n")
+    for label, values in (("recurrence", recurrence), ("integral", integral)):
+        sys.stdout.write(f"{label}: {' '.join(map(format_rational, values))}\n")
+    return EXIT_OK if recurrence == integral else EXIT_MISMATCH
 
 
 def _build_parser() -> _Parser:
@@ -276,18 +250,12 @@ def _build_parser() -> _Parser:
     )
     p_refute.add_argument("--value", required=True, type=_rational, help="claimed value p/q")
     p_refute.add_argument("--n-cap", type=int, help="search cap (default: none; every search ends)")
-    p_refute.add_argument(
-        "--target-width", type=_rational, help="starting enclosure width (default 1/2**64)"
-    )
     p_refute.add_argument("--output", help="write certificate to this path instead of stdout")
     p_refute.add_argument("--format", choices=("json", "text"), default="json")
     p_refute.set_defaults(handler=_cmd_refute)
 
     p_verify = sub.add_parser("verify", help="independently check a certificate file")
     p_verify.add_argument("certificate", help="path to a certificate JSON file")
-    p_verify.add_argument(
-        "--target-width", type=_rational, help="starting enclosure width used at refutation time"
-    )
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_table = sub.add_parser("table", help="dump recurrence polynomials as JSON")
@@ -295,13 +263,11 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--n", required=True, type=int, help="largest index to include")
     p_table.set_defaults(handler=_cmd_table)
 
-    p_oracle = sub.add_parser("oracle-check", help="compare recurrence value against quadrature")
+    p_oracle = sub.add_parser("oracle-check", help="compare recurrence values with the exact integral")
     families = sorted(family.value for family in IntegrandFamily)
     p_oracle.add_argument("--family", required=True, choices=families)
     p_oracle.add_argument("--n", required=True, type=int)
     p_oracle.add_argument("--r", required=True, type=_rational, help="upper integration limit a/b > 0")
-    p_oracle.add_argument("--subdivisions", type=int, default=1 << 14)
-    p_oracle.add_argument("--precision-bits", type=int, default=256)
     p_oracle.set_defaults(handler=_cmd_oracle_check)
 
     return parser

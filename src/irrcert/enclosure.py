@@ -34,7 +34,6 @@ from .exactnum import RatInterval
 
 class Func(Enum):
     SIN = "sin"
-    COS = "cos"
     EXP = "exp"
     COS_FROM_S = "cos_from_s"
     SINC_FROM_S = "sinc_from_s"
@@ -119,8 +118,6 @@ def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
         return even_series(x, 0).enclose(w)
     if fn is Func.SINC_FROM_S:
         return even_series(x, 1).enclose(w)
-    if fn is Func.COS:
-        return even_series(x * x, 0).enclose(w)
     if fn is Func.SIN:
         if x == 0:
             return RatInterval.from_point(Fraction(0))

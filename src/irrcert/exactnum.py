@@ -122,9 +122,6 @@ class RatInterval:
             return RatInterval(self.lo * c, self.hi * c)
         return RatInterval(self.hi * c, self.lo * c)
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 

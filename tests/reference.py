@@ -1,13 +1,12 @@
 """Reference code that the tests check the package against and the package
 never runs: the kernel tail bounds, exact evaluation and parity splits of
-integer polynomials, the cos system's descent identity, and a reset of the
-oracle's node cache.  Kept in ``tests/``, the package neither ships it nor trusts it."""
+integer polynomials, and the cos system's descent identity.  Kept in
+``tests/``, the package neither ships it nor trusts it."""
 
 from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from irrcert import oracle
 from irrcert.enclosure import exp_upper_bound
 from irrcert.exactnum import IntPoly, sqrt_bounds
 
@@ -96,10 +95,3 @@ def descent_identity_check(n: int, pairs) -> bool:
         if l != (4 * n + 3) * k + shift(j, 1) - (2 * n + 1) * shift(i, 1):
             return False
     return True
-
-
-def clear_cache() -> None:
-    """Empty the oracle's node and power caches."""
-    with oracle._cache_lock:
-        oracle._node_cache.clear()
-        oracle._power_cache.clear()

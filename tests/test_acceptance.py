@@ -125,45 +125,55 @@ def convergents(x: Fraction, q_max: int):
 
 
 ORACLE_RS = (F(1, 2), F(1), F(2, 3))
-ORACLE_N_MAX = 8
+ORACLE_N_MAX = 60
 COS_WEIGHT = {"I": 0, "J": 1, "K": 2, "L": 3}
 
 
 @functools.lru_cache(maxsize=1)
 def oracle_grid():
-    out = {}
-    for family in IntegrandFamily:
-        for r in ORACLE_RS:
-            for n in range(ORACLE_N_MAX + 1):
-                out[(family, r, n)] = integrate(
-                    family=family, n=n, r=r, subdivisions=1 << 14, precision_bits=256
-                )
-    return out
+    """Each integral's exact coefficients, keyed by (family, r, n)."""
+    return {
+        (family, r, n): integrate(family, n, r)
+        for family in IntegrandFamily
+        for r in ORACLE_RS
+        for n in range(ORACLE_N_MAX + 1)
+    }
 
 
-def midpoint_for(fn: Func, arg: Fraction, scale: Fraction) -> Fraction:
-    # width scaled down by the coefficient so the symbolic-side error stays
-    # near 2**-256 even when huge polynomial values cancel
-    width = F(1, 2 ** 256) / max(1, 2 * abs(scale))
-    return enclose(fn, arg, width).midpoint()
+@functools.lru_cache(maxsize=1)
+def oracle_sequences():
+    return tan_sequence(ORACLE_N_MAX), exp_sequence(ORACLE_N_MAX), cos_system(ORACLE_N_MAX)
 
 
-def symbolic_value(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
+def track_coefficients(family: IntegrandFamily, n: int, r: Fraction) -> tuple:
+    """The recurrences' (u_n, v_n) at r on the oracle's basis: the tan
+    engine's (1 - cos r, sin r) gives (u, -u, v), exp's (1, e**r) gives
+    (u, v), and the cos system's (1, cos r) at s = r**2 gives (u, v, 0)."""
+    tan, exp, cos = oracle_sequences()
     if family is IntegrandFamily.SIN_KERNEL:
-        u, v = tan_sequence(n)[n]
-        u_val, v_val = eval_rational(u, r), eval_rational(v, r)
-        return u_val * (1 - midpoint_for(Func.COS, r, u_val)) + v_val * midpoint_for(
-            Func.SIN, r, v_val
-        )
+        u, v = (eval_rational(w, r) for w in tan[n])
+        return u, -u, v
     if family is IntegrandFamily.EXP_KERNEL:
-        u, v = exp_sequence(n)[n]
-        u_val, v_val = eval_rational(u, r), eval_rational(v, r)
-        return u_val + v_val * midpoint_for(Func.EXP, r, v_val)
-    letter = family.value.split("-")[1]
-    u, v = cos_system(n)[n]["IJKL".index(letter)]
-    s = r * r
-    u_val, v_val = eval_rational(u, s), eval_rational(v, s)
-    return u_val + v_val * midpoint_for(Func.COS, r, v_val)
+        return tuple(eval_rational(w, r) for w in exp[n])
+    u, v = (eval_rational(w, r * r) for w in cos[n][COS_WEIGHT[family.value[-1]]])
+    return u, v, F(0)
+
+
+def integral_upper(family: IntegrandFamily, r: Fraction, coeffs: tuple, bound: Fraction):
+    """A rigorous upper end of the integral's absolute value, and the radius
+    of the interval it comes from: the enclosures of cos r and sin r (or
+    e**r) are fine enough that the radius is at most bound / 1000."""
+    width = bound / (500 * max(1, sum(abs(c) for c in coeffs[1:])))
+    if family is IntegrandFamily.EXP_KERNEL:
+        terms = ((Func.EXP, r),)
+    else:
+        terms = ((Func.COS_FROM_S, r * r), (Func.SIN, r))
+    lo = hi = coeffs[0]
+    for c, (fn, arg) in zip(coeffs[1:], terms):
+        if c:
+            iv = enclose(fn, arg, width).scale(c)
+            lo, hi = lo + iv.lo, hi + iv.hi
+    return max(abs(lo), abs(hi)), (hi - lo) / 2
 
 
 def family_tail(family: IntegrandFamily, n: int, r: Fraction) -> Fraction:
@@ -209,33 +219,30 @@ def test_criterion_1_exact_identities():
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
     grid = oracle_grid()
-    tight = F(1, 10 ** 20)
-    worst = F(0)
-    for (family, r, n), (estimate, err) in grid.items():
-        diff = abs(symbolic_value(family, n, r) - estimate)
-        assert diff <= 10 * err, (family, r, n)
-        assert diff <= tight, (family, r, n)
-        worst = max(worst, diff)
+    for (family, r, n), coeffs in grid.items():
+        assert coeffs == track_coefficients(family, n, r), (family, r, n)
     elapsed = time.perf_counter() - start
     ok_line(
-        elapsed < 60.0,
-        "criterion 2: oracle equivalence, 6 families x 3 r x n <= 8",
-        f"{len(grid)} integrals, worst diff {float(worst):.2e} in {elapsed:.2f}s (cap 60s)",
+        elapsed < 5.0,
+        f"criterion 2: oracle equivalence, 6 families x 3 r x n <= {ORACLE_N_MAX}",
+        f"{len(grid)} exact equalities in {elapsed:.2f}s (cap 5s)",
     )
 
 
 def test_criterion_3_tail_soundness():
     grid = oracle_grid()
     worst_margin = None
-    for (family, r, n), (estimate, _err) in grid.items():
+    for (family, r, n), coeffs in grid.items():
         bound = family_tail(family, n, r)
-        assert abs(estimate) <= bound, (family, r, n)
-        margin = bound - abs(estimate)
+        upper, radius = integral_upper(family, r, coeffs, bound)
+        assert radius <= bound / 1000, (family, r, n)
+        assert upper <= bound, (family, r, n)
+        margin = (bound - upper) / bound
         worst_margin = margin if worst_margin is None else min(worst_margin, margin)
     ok_line(
         True,
         "criterion 3: tail bound dominates every oracle integral",
-        f"{len(grid)} cases, smallest margin {float(worst_margin):.2e}",
+        f"{len(grid)} cases, smallest relative margin {float(worst_margin):.2e}",
     )
 
 

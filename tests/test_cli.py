@@ -94,7 +94,6 @@ class TestRefute:
             ("refute", "--kind", "tan", "--arg", "abc", "--value", "2"),
             ("refute", "--kind", "tan", "--arg", "1/0", "--value", "2"),
             ("refute", "--kind", "tan", "--arg", "1", "--value", "2", "--n-cap", "-1"),
-            ("refute", "--kind", "tan", "--arg", "1", "--value", "2", "--target-width", "0"),
             ("nonsense",),
             (),
         ],
@@ -257,18 +256,21 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("cannot read") and err.count("\n") == 1
 
-    def test_target_width_must_match(self, capsys, tmp_path):
+    def test_target_width_is_gone(self, capsys, tmp_path):
+        # a certificate verifies from the document alone, at the one width
         path = tmp_path / "cert.json"
         code, _, _ = run(
-            capsys,
-            "refute", "--kind", "tan", "--arg", "1", "--value", "2",
-            "--target-width", "1/4096", "--output", str(path),
+            capsys, "refute", "--kind", "tan", "--arg", "1", "--value", "2", "--output", str(path)
         )
         assert code == 0
-        code, out, _ = run(capsys, "verify", str(path))
-        assert code == 4 and out.startswith("INVALID:")
-        code, out, _ = run(capsys, "verify", str(path), "--target-width", "1/4096")
-        assert (code, out) == (0, "VALID\n")
+        code, out, err = run(
+            capsys,
+            "refute", "--kind", "tan", "--arg", "1", "--value", "2", "--target-width", "1/4096",
+        )
+        assert code == 1 and out == "" and "unrecognized arguments" in err
+        code, out, err = run(capsys, "verify", str(path), "--target-width", "1/4096")
+        assert code == 1 and out == "" and "unrecognized arguments" in err
+        assert run(capsys, "verify", str(path))[:2] == (0, "VALID\n")
 
 
 class TestTable:
@@ -324,64 +326,51 @@ class TestTable:
 
 class TestOracleCheck:
     def test_agreement_exits_0(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "oracle-check", "--family", "cos-K", "--n", "0", "--r", "1",
-            "--subdivisions", "1024",
+        code, out, _ = run(capsys, "oracle-check", "--family", "cos-K", "--n", "0", "--r", "1")
+        # cos-K at n=0 integrates z**2 * sin(1 - z): value -1 + 2 cos 1
+        assert (code, out) == (
+            0, "basis: 1 cos(r) sin(r)\nrecurrence: -1/1 2/1 0/1\nintegral: -1/1 2/1 0/1\n"
         )
-        assert code == 0
-        labels = [line.split(":")[0] for line in out.splitlines()]
-        assert labels == ["symbolic", "oracle", "difference", "error_estimate"]
-        # cos-K at n=0 integrates z**2 * sin(1 - z): value 2 cos 1 - 1
-        assert out.splitlines()[0].startswith("symbolic: 0.0806046117")
+
+    def test_exp_kernel_basis(self, capsys):
+        code, out, _ = run(capsys, "oracle-check", "--family", "exp-kernel", "--n", "1", "--r", "1")
+        # (r - 2) e**r + r + 2 at r = 1
+        assert (code, out) == (0, "basis: 1 exp(r)\nrecurrence: 3/1 -1/1\nintegral: 3/1 -1/1\n")
 
     def test_nonpositive_r_exits_1(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--family", "cos-K", "--n", "0", "--r", "-1")
         assert code == 1
 
-    def test_odd_subdivisions_exit_1(self, capsys):
-        code, _, _ = run(
-            capsys,
-            "oracle-check", "--family", "sin-kernel", "--n", "0", "--r", "1",
-            "--subdivisions", "7",
-        )
-        assert code == 1
-
-    def test_low_precision_exits_1(self, capsys):
+    @pytest.mark.parametrize("option", [("--subdivisions", "64"), ("--precision-bits", "128")])
+    def test_dropped_options_exit_1(self, capsys, option):
         code, out, err = run(
-            capsys,
-            "oracle-check", "--family", "sin-kernel", "--n", "0", "--r", "1",
-            "--precision-bits", "32",
+            capsys, "oracle-check", "--family", "sin-kernel", "--n", "0", "--r", "1", *option
         )
         assert code == 1 and out == ""
-        assert "precision below 64 bits is refused" in err
+        assert "unrecognized arguments" in err
 
     def test_disagreement_exits_5(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "integrate", lambda *args: (Fraction(1), Fraction(1, 10**30))
+            cli, "integrate", lambda *args: (Fraction(1), Fraction(-1), Fraction(1, 10**30))
         )
-        code, out, _ = run(
-            capsys,
-            "oracle-check", "--family", "sin-kernel", "--n", "0", "--r", "1",
-            "--subdivisions", "64",
-        )
+        code, out, _ = run(capsys, "oracle-check", "--family", "sin-kernel", "--n", "0", "--r", "1")
         assert code == 5
-        assert out.splitlines()[1] == "oracle: " + format_decimal(Fraction(1), 40)
+        assert out.splitlines()[1:] == [
+            "recurrence: 1/1 -1/1 0/1", "integral: 1/1 -1/1 1/1000000000000000000000000000000",
+        ]
 
-    def test_output_recorded_before_integer_tracks(self):
-        # every family at three indices and two limits; the symbolic side
-        # came from whole polynomials when these bytes were recorded
+    def test_output_bytes_are_pinned(self):
+        # every family at three indices and two limits, recorded from the
+        # exact oracle; every run exits 0
         digest = hashlib.sha256()
         for family in ("sin-kernel", "exp-kernel", "cos-I", "cos-J", "cos-K", "cos-L"):
             for n in (0, 3, 12):
                 for r in ("1", "7/5"):
                     out = io.StringIO()
                     with contextlib.redirect_stdout(out):
-                        code = main([
-                            "oracle-check", "--family", family, "--n", str(n), "--r", r,
-                            "--subdivisions", "64", "--precision-bits", "128",
-                        ])
+                        code = main(["oracle-check", "--family", family, "--n", str(n), "--r", r])
+                    assert code == 0
                     digest.update(f"{code}\n{out.getvalue()}".encode())
         assert digest.hexdigest() == (
-            "4ea149f3957817409faf8c7d7890a499f6ee490761ec5af4505d82760a2db8ba"
+            "32671120ecdad6e2e83b2e7fd7840daad1f215175aa81c94b6ae80d983bc4abd"
         )

@@ -27,8 +27,6 @@ def _reference(function: Func, argument: Fraction) -> mpmath.mpf:
     x = mpmath.mpf(argument.numerator) / argument.denominator
     if function is Func.SIN:
         return mpmath.sin(x)
-    if function is Func.COS:
-        return mpmath.cos(x)
     if function is Func.EXP:
         return mpmath.exp(x)
     if function is Func.COS_FROM_S:
@@ -194,8 +192,6 @@ def _reference_enclose(fn: Func, x: Fraction, w: Fraction) -> RatInterval:
         return _reference_even_series(x, 0, w)
     if fn is Func.SINC_FROM_S:
         return _reference_even_series(x, 1, w)
-    if fn is Func.COS:
-        return _reference_even_series(x * x, 0, w)
     if x == 0:
         return RatInterval.from_point(Fraction(0))
     return _reference_even_series(x * x, 1, w / abs(x)).scale(x)

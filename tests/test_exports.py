@@ -50,7 +50,7 @@ def test_a_building_block_comes_from_its_own_module_only(module, name):
 
 @pytest.mark.parametrize("module, function, parameters", [
     ("enclosure", "enclose", ["fn", "x", "width"]),
-    ("oracle", "integrate", ["family", "n", "r", "subdivisions", "precision_bits"]),
+    ("oracle", "integrate", ["family", "n", "r"]),
 ])
 def test_a_building_block_takes_its_arguments_directly(module, function, parameters):
     # no request object is built to be handed straight to the function, so its
@@ -79,6 +79,28 @@ def test_the_test_only_reference_code_is_gone_from_the_package(owner, name):
     module, _, cls = owner.partition(".")
     found = importlib.import_module(f"irrcert.{module}")
     assert not hasattr(getattr(found, cls) if cls else found, name)
+
+
+# what only the quadrature oracle used
+GONE = {
+    "oracle": ("_node_cache", "_power_cache", "_cache_lock"),
+    "enclosure.Func": ("COS",),
+    "exactnum.RatInterval": ("midpoint",),
+}
+
+
+@pytest.mark.parametrize(
+    "owner, name", [(owner, name) for owner, names in GONE.items() for name in names]
+)
+def test_the_quadrature_and_its_helpers_are_gone(owner, name):
+    module, _, cls = owner.partition(".")
+    found = importlib.import_module(f"irrcert.{module}")
+    assert not hasattr(getattr(found, cls) if cls else found, name)
+
+
+@pytest.mark.parametrize("function", ["refute", "check_certificate"])
+def test_no_target_width_parameter(function):
+    assert "target_width" not in inspect.signature(getattr(certificates, function)).parameters
 
 
 @pytest.mark.parametrize("name", ["SequencePair", "CosSystemState"])
