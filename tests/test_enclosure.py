@@ -61,6 +61,16 @@ class TestEnclose:
         assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= ref
         assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= ref
 
+    # cos x is enclosed as COS_FROM_S at x**2, as acceptance criterion 3 does
+    @pytest.mark.parametrize("argument", GRID)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_cos_from_s_at_square_contains_cos(self, argument, width):
+        iv = enclose(Func.COS_FROM_S, argument * argument, width)
+        assert iv.hi - iv.lo <= width
+        ref = mpmath.cos(mpmath.mpf(argument.numerator) / argument.denominator)
+        assert mpmath.mpf(iv.lo.numerator) / iv.lo.denominator <= ref
+        assert mpmath.mpf(iv.hi.numerator) / iv.hi.denominator >= ref
+
     def test_exp_at_one_contains_e(self):
         iv = enclose(Func.EXP, Fraction(1), Fraction(1, 10**12))
         assert iv.hi - iv.lo <= Fraction(1, 10**12)
