@@ -20,8 +20,7 @@ is a ratio start * ratio**n / n! compared with 1 by integer
 cross-multiplication.  While a bound is not below 1 no slot can certify, so
 the bound jumps in closed form to the index where it crosses 1 and the track
 is advanced to it without yielding a slot; past the crossing both step one
-index at a time.  No polynomial is built; the same tracks on ``IntPoly``
-serve ``irrcert table`` and the identity tests.
+index at a time.  No polynomial is built.
 
 One kind table (``_KINDS``) gives each of the nine kinds its mode, engine,
 argument (t, s = t**2 or none) and, for the squared-trig kinds, the map

@@ -36,10 +36,8 @@ from .certificates import (
     to_canonical_json,
 )
 from .exactnum import format_rational, parse_rational
-from .oracle import IntegrandFamily, integrate
-from .recurrences import (
-    cos_system, cos_track, exp_sequence, exp_track, pi_sequence, tan_sequence, tan_track,
-)
+from .oracle import IntegrandFamily, coefficients, integrate
+from .recurrences import cos_track, exp_track, tan_track
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -187,22 +185,24 @@ def _cmd_verify(args, parser: _Parser) -> int:
     return EXIT_INVALID
 
 
-def _pair_row(pair) -> dict:
-    u, v = pair
-    return {"u": list(u.coeffs), "v": list(v.coeffs)}
+def _table_row(engine: str, n: int) -> dict:
+    """Row n of the table, read off the integral's coefficients: the tan
+    engine's (u, v) are the sin kernel's (u, -u, v) on (1, cos r, sin r), pi
+    has p = 2u, exp is (u, v) on (1, e**r), and each cos letter is the (u, v)
+    of its family's (u, v, 0)."""
+    if engine == "cos":
+        return {letter: dict(zip("uv", coefficients(IntegrandFamily(f"cos-{letter}"), n)))
+                for letter in "IJKL"}
+    if engine == "exp":
+        return dict(zip("uv", coefficients(IntegrandFamily.EXP_KERNEL, n)))
+    u, _, v = coefficients(IntegrandFamily.SIN_KERNEL, n)
+    return {"p": [2 * c for c in u]} if engine == "pi" else {"u": u, "v": v}
 
 
 def _cmd_table(args, parser: _Parser) -> int:
     if args.n < 0:
         parser.error("--n must be nonnegative")
-    if args.engine == "pi":
-        rows = [{"n": n, "p": list(p.coeffs)} for n, p in enumerate(pi_sequence(args.n))]
-    elif args.engine in ("tan", "exp"):
-        pairs = (tan_sequence if args.engine == "tan" else exp_sequence)(args.n)
-        rows = [{"n": n, **_pair_row(pair)} for n, pair in enumerate(pairs)]
-    else:
-        rows = [{"n": n, **{letter: _pair_row(pair) for letter, pair in zip("IJKL", pairs)}}
-                for n, pairs in enumerate(cos_system(args.n))]
+    rows = [{"n": n, **_table_row(args.engine, n)} for n in range(args.n + 1)]
     doc = {"engine": args.engine, "variable": "s" if args.engine == "cos" else "r", "rows": rows}
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return EXIT_OK

@@ -1,14 +1,13 @@
-"""Exact arithmetic building blocks: rationals, integer polynomials, intervals.
+"""Exact arithmetic building blocks: rationals, intervals, square roots.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced, positive
 denominator), so equality is structural and no float ever enters a bound.
-This module adds the two shapes Fraction does not cover:
-
-* ``IntPoly`` — dense univariate polynomials with integer coefficients,
-  constant term first.  Degree of the zero polynomial is -1.
-* ``RatInterval`` — closed intervals with exact rational endpoints.  All
-  endpoint arithmetic is exact, so the usual outward-rounding worries of
-  float intervals do not arise: the results are conservative by construction.
+They are read and written as "a/b" by ``parse_rational`` and
+``format_rational``.  ``RatInterval`` adds the one shape Fraction does not
+cover: closed intervals with exact rational endpoints.  All endpoint
+arithmetic is exact, so the usual outward-rounding worries of float
+intervals do not arise: the results are conservative by construction.
+``sqrt_bounds`` brackets a square root on the 2**-64 grid.
 
 Everything here is immutable and safe to share across threads.
 """
@@ -34,67 +33,6 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize a Fraction as "num/den", denominator always explicit."""
     return f"{value.numerator}/{value.denominator}"
-
-
-class IntPoly:
-    """Immutable dense polynomial over the integers, constant term first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)!r})"
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(c * other for c in self.coeffs)
-        if isinstance(other, IntPoly):
-            if self.is_zero() or other.is_zero():
-                return IntPoly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return IntPoly(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

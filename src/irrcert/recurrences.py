@@ -1,11 +1,11 @@
-"""Recurrence engines for the certificate integrals, on integers or polynomials.
+"""Recurrence tracks for the certificate integrals, on integers.
 
-Each engine tracks integrals of the shape  integral of (r*x - x**2)**n / n!
+Each track follows integrals of the shape  integral of (r*x - x**2)**n / n!
 (or its quartic analogue) against a trig or exponential weight, written in a
-fixed two-element basis with integer-polynomial coordinates:
+fixed two-element basis whose coordinates u_n, v_n are integer polynomials:
 
 * tan engine   — basis (1 - cos r, sin r), polynomials in r, degree <= n
-* pi engine    — the scalar sequence P_n, polynomial in t, degree <= n
+* pi engine    — the scalar sequence P_n = 2 u_n, polynomial in t, degree <= n
 * exp engine   — basis (1, e**r), polynomials in r, degree <= n
 * cos system   — four coupled sequences I, J, K, L in the basis (1, cos r),
   polynomials in s = r**2, of degree <= 2n (I, J) and <= 2n + 1 (K, L)
@@ -13,32 +13,23 @@ fixed two-element basis with integer-polynomial coordinates:
 The recurrences come from integrating by parts twice, which is also why the
 same coefficients act on u and v simultaneously.
 
-Each recurrence is written once, as a ``*_track`` generator that uses only
-ring operations.  On plain integers at a rational point a/b it yields the
-values scaled by the power of b that makes them integers (b**n for the tan
-family, b**(2n+1) for the cos system): one value per index is all that the
-search, its checker and ``oracle-check`` need.  A tan-family track yields one
-value per index, a combination x u_n + y v_n; ``cos_track`` yields the four
-(u, v) pairs of I, J, K and L.  On ``IntPoly`` values at the generic point
-a = x, b = 1 the tracks yield the coordinate polynomials themselves, and
-``tan_sequence``, ``pi_sequence``, ``exp_sequence`` and ``cos_system`` return
-the tracks' own values there, for ``irrcert table`` and the identity tests:
-one (u_n, v_n) tuple per index of the tan and exp engines, one polynomial
-P_n per index of the pi engine, and per index of the cos system the four
-(u_n, v_n) pairs in I, J, K, L order.
+Each recurrence is written once, as a ``*_track`` generator over integers
+that uses only ring operations.  At a rational point a/b it yields the values scaled by the power of b that
+makes them integers (b**n for the tan family, b**(2n+1) for the cos
+system): one value per index is all that the search, its checker and
+``oracle-check`` need.  A tan-family track yields one value per index, a
+combination x u_n + y v_n; ``cos_track`` yields the four (u, v) pairs of I,
+J, K and L.  The polynomials themselves, which ``irrcert table`` prints, are
+derived from the integrals by ``oracle.coefficients``.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, List
-
-from .exactnum import IntPoly
+from typing import Iterator
 
 
 # --------------------------------------------------------------------------
-# tracks.  Arguments are all ints or all IntPolys.  The tan-family engines
-# share the three-term shape
+# tracks.  The tan-family engines share the three-term shape
 #     W_n = (4n - 2) k W_{n-1} - c W_{n-2},
 # and since the step is linear, a combination x u_n + y v_n is one track.
 # --------------------------------------------------------------------------
@@ -105,39 +96,3 @@ def cos_track(a, b) -> Iterator[tuple]:
         ju, jv, ku, kv = nju, njv, nku, nkv
         yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
         n += 1
-
-
-# --------------------------------------------------------------------------
-# polynomial views: the tracks at the generic point a = x, b = 1
-# --------------------------------------------------------------------------
-
-_X, _ONE, _ZERO = IntPoly([0, 1]), IntPoly([1]), IntPoly()
-
-
-def _coordinates(track, n_max: int) -> List[tuple]:
-    us, vs = track(_X, _ONE, _ONE, _ZERO), track(_X, _ONE, _ZERO, _ONE)
-    return list(islice(zip(us, vs), n_max + 1))
-
-
-def tan_sequence(n_max: int) -> List[tuple]:
-    """Tan-engine pairs (u_n, v_n); w_n = (4n - 2) w_{n-1} - r**2 w_{n-2}."""
-    return _coordinates(tan_track, n_max)
-
-
-def pi_sequence(n_max: int) -> List[IntPoly]:
-    """Pi-engine polynomials: P_0 = 2, P_1 = 4,
-    P_n = (4n - 2) P_{n-1} - t**2 P_{n-2}.  Identically 2 * u_n of the
-    tan engine, so only even powers appear."""
-    return list(islice(tan_track(_X, _ONE, IntPoly([2]), _ZERO), n_max + 1))
-
-
-def exp_sequence(n_max: int) -> List[tuple]:
-    """Exp-engine pairs (u_n, v_n); sign flips relative to the tan engine
-    because the weight e**x reproduces itself under integration by parts:
-    w_n = -(4n - 2) w_{n-1} + r**2 w_{n-2}."""
-    return _coordinates(exp_track, n_max)
-
-
-def cos_system(n_max: int) -> List[tuple]:
-    """Per index, the (u_n, v_n) pairs of I, J, K and L, in that order."""
-    return list(islice(cos_track(_X, _ONE), n_max + 1))

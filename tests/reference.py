@@ -1,14 +1,18 @@
 """Reference code that the tests check the package against and the package
-never runs: the kernel tail bounds, exact evaluation and parity splits of
-integer polynomials, and the cos system's descent identity.  Kept in
-``tests/``, the package neither ships it nor trusts it."""
+never runs: the kernel tail bounds, the integer polynomial ring ``IntPoly``
+with its exact evaluation and parity splits, the tracks run on that ring,
+and the cos system's descent identity.  Kept in ``tests/``, the package
+neither ships it nor trusts it."""
 
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+from typing import List
 
 from irrcert.enclosure import exp_upper_bound
-from irrcert.exactnum import IntPoly, sqrt_bounds
+from irrcert.exactnum import sqrt_bounds
+from irrcert.recurrences import cos_track, exp_track, tan_track
 
 
 class DegreeBoundError(ValueError):
@@ -47,6 +51,105 @@ def tail_bound(kernel: TailKernel, r_or_s: Fraction, n: int, k: int = 0) -> Frac
         return sqrt_bounds(s).hi ** (k + 1) * (s * s / 4) ** n / factorial(n)
     t_hi = sqrt_bounds(-s).hi
     return t_hi ** (k + 1) * (2 * s * s) ** n / factorial(n) * exp_upper_bound(t_hi)
+
+
+class IntPoly:
+    """Immutable dense polynomial over the integers, constant term first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [int(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntPoly is immutable")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(("IntPoly", self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"IntPoly({list(self.coeffs)!r})"
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPoly(out)
+
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "IntPoly":
+        return IntPoly(-c for c in self.coeffs)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntPoly(c * other for c in self.coeffs)
+        if isinstance(other, IntPoly):
+            if self.is_zero() or other.is_zero():
+                return IntPoly()
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return IntPoly(out)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
+# --------------------------------------------------------------------------
+# the tracks on IntPoly at the generic point a = x, b = 1: a second
+# derivation of the coordinate polynomials that oracle.coefficients derives
+# from the integrals
+# --------------------------------------------------------------------------
+
+_X, _ONE, _ZERO = IntPoly([0, 1]), IntPoly([1]), IntPoly()
+
+
+def _coordinates(track, n_max: int) -> List[tuple]:
+    us, vs = track(_X, _ONE, _ONE, _ZERO), track(_X, _ONE, _ZERO, _ONE)
+    return list(islice(zip(us, vs), n_max + 1))
+
+
+def tan_sequence(n_max: int) -> List[tuple]:
+    """Tan-engine pairs (u_n, v_n); w_n = (4n - 2) w_{n-1} - r**2 w_{n-2}."""
+    return _coordinates(tan_track, n_max)
+
+
+def pi_sequence(n_max: int) -> List[IntPoly]:
+    """Pi-engine polynomials: P_0 = 2, P_1 = 4,
+    P_n = (4n - 2) P_{n-1} - t**2 P_{n-2}.  Identically 2 * u_n of the
+    tan engine, so only even powers appear."""
+    return list(islice(tan_track(_X, _ONE, IntPoly([2]), _ZERO), n_max + 1))
+
+
+def exp_sequence(n_max: int) -> List[tuple]:
+    """Exp-engine pairs (u_n, v_n); sign flips relative to the tan engine
+    because the weight e**x reproduces itself under integration by parts:
+    w_n = -(4n - 2) w_{n-1} + r**2 w_{n-2}."""
+    return _coordinates(exp_track, n_max)
+
+
+def cos_system(n_max: int) -> List[tuple]:
+    """Per index, the (u_n, v_n) pairs of I, J, K and L, in that order."""
+    return list(islice(cos_track(_X, _ONE), n_max + 1))
 
 
 def shift(p: IntPoly, k: int) -> IntPoly:

@@ -24,11 +24,13 @@ from irrcert.certificates import (
     to_canonical_json,
 )
 from irrcert.enclosure import Func, enclose
-from irrcert.exactnum import IntPoly, sqrt_bounds
+from irrcert.exactnum import sqrt_bounds
 from irrcert.oracle import IntegrandFamily, integrate
-from irrcert.recurrences import cos_system, exp_sequence, pi_sequence, tan_sequence
 
-from reference import TailKernel, descent_identity_check, eval_rational, tail_bound
+from reference import (
+    IntPoly, TailKernel, cos_system, descent_identity_check, eval_rational, exp_sequence,
+    pi_sequence, tail_bound, tan_sequence,
+)
 
 
 def F(*args):

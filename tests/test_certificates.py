@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from irrcert.certificates import (
+    _KINDS,
     Certificate,
     Claim,
     ClaimKind,
@@ -26,10 +27,9 @@ from irrcert.certificates import (
     refute,
     to_canonical_json,
 )
-from irrcert.recurrences import cos_system
 
 from hostile_documents import HOSTILE, canonical_text, on_fresh_stack
-from reference import eval_scaled_integer
+from reference import cos_system, eval_scaled_integer
 from test_acceptance import corpus_certificates
 
 
@@ -346,6 +346,35 @@ class TestChecker:
         assert "rejected on replay" in result.reason
 
 
+# st.fractions() draws about twice as slowly
+any_rational = st.builds(Fraction, st.integers(), st.integers(min_value=1))
+
+
+def _claims() -> st.SearchStrategy:
+    """Any claim: a kind, an argument exactly when the kind takes one, a value."""
+    return st.sampled_from(ClaimKind).flatmap(lambda kind: st.builds(
+        Claim, st.just(kind), st.none() if _KINDS[kind].arg is None else any_rational,
+        any_rational,
+    ))
+
+
+# every well-typed certificate, whether or not it is a proof of anything
+any_certificate = st.builds(
+    Certificate,
+    claim=_claims(),
+    n=st.integers(min_value=-5, max_value=10**6),
+    sequence=st.none() | st.sampled_from(SequenceId),
+    mode=st.sampled_from(RefutationMode),
+    witness=st.integers(),
+    bound=any_rational,
+    enclosures=st.lists(
+        st.builds(EnclosureRecord, st.text(), any_rational, any_rational, any_rational),
+        max_size=3,
+    ).map(tuple),
+    transform=st.none() | st.builds(TransformRecord, st.text(), _claims()),
+)
+
+
 class TestSerialization:
     def test_schema_shape(self):
         cert = refute(Claim(ClaimKind.PI_SQUARED, None, F(10)))
@@ -375,6 +404,11 @@ class TestSerialization:
             restored = certificate_from_json(text)
             assert restored == cert
             assert to_canonical_json(restored) == text
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(any_certificate)
+    def test_every_certificate_the_writer_accepts_parses_back_to_itself(self, cert):
+        assert certificate_from_json(to_canonical_json(cert)) == cert
 
     # the writer refuses what the parser would refuse, rather than writing
     # "n":true or "n":1.0

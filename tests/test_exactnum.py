@@ -1,14 +1,15 @@
-"""Unit tests for rational parsing, integer polynomials, intervals, sqrt."""
+"""Unit tests for rational parsing, intervals and sqrt, and for the reference
+integer polynomials of tests/reference.py."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from irrcert.exactnum import IntPoly, RatInterval, format_rational, parse_rational, sqrt_bounds
+from irrcert.exactnum import RatInterval, format_rational, parse_rational, sqrt_bounds
 
 from reference import (
-    DegreeBoundError, eval_rational, eval_scaled_integer,
+    DegreeBoundError, IntPoly, eval_rational, eval_scaled_integer,
     even_part_in_square, odd_part_in_square, shift,
 )
 

@@ -29,9 +29,8 @@ CERTIFICATE_API = {
 # the building blocks the root no longer re-exports, by their own module
 BUILDING_BLOCKS = {
     "enclosure": ("Func", "enclose"),
-    "exactnum": ("IntPoly", "RatInterval", "format_rational", "parse_rational", "sqrt_bounds"),
-    "oracle": ("IntegrandFamily", "integrate"),
-    "recurrences": ("cos_system", "exp_sequence", "pi_sequence", "tan_sequence"),
+    "exactnum": ("RatInterval", "format_rational", "parse_rational", "sqrt_bounds"),
+    "oracle": ("IntegrandFamily", "coefficients", "integrate"),
 }
 
 
@@ -51,6 +50,7 @@ def test_a_building_block_comes_from_its_own_module_only(module, name):
 @pytest.mark.parametrize("module, function, parameters", [
     ("enclosure", "enclose", ["fn", "x", "width"]),
     ("oracle", "integrate", ["family", "n", "r"]),
+    ("oracle", "coefficients", ["family", "n"]),
 ])
 def test_a_building_block_takes_its_arguments_directly(module, function, parameters):
     # no request object is built to be handed straight to the function, so its
@@ -64,11 +64,10 @@ def test_a_building_block_takes_its_arguments_directly(module, function, paramet
 # the test-only reference code that lives in tests/reference.py instead
 MOVED_TO_THE_TESTS = {
     "enclosure": ("TailKernel", "tail_bound"),
-    "exactnum": ("DegreeBoundError",),
-    "exactnum.IntPoly": ("eval_rational", "eval_scaled_integer", "even_part_in_square",
-                         "odd_part_in_square", "shift"),
+    "exactnum": ("DegreeBoundError", "IntPoly"),
     "oracle": ("clear_cache",),
-    "recurrences": ("descent_identity_check",),
+    "recurrences": ("cos_system", "descent_identity_check", "exp_sequence", "pi_sequence",
+                    "tan_sequence"),
 }
 
 
@@ -105,8 +104,8 @@ def test_no_target_width_parameter(function):
 
 @pytest.mark.parametrize("name", ["SequencePair", "CosSystemState"])
 def test_the_polynomial_views_have_no_wrapper_type(name):
-    # tan_sequence, exp_sequence and cos_system return the tracks' own (u, v)
-    # tuples, so recurrences defines no type to hold them
+    # the tracks yield plain integers and tuples, and the polynomial views
+    # live in tests/reference.py, so recurrences defines no type at all
     recurrences = importlib.import_module("irrcert.recurrences")
     assert not hasattr(recurrences, name)
     assert [key for key, value in vars(recurrences).items()

@@ -1,11 +1,15 @@
-"""Tests for the exact integration-by-parts oracle, against mpmath quadrature."""
+"""Tests for the exact integration-by-parts oracle, against mpmath quadrature
+and, as polynomials, against the tracks run on the reference ring."""
 
+import functools
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from irrcert.oracle import IntegrandFamily, integrate
+from irrcert.oracle import IntegrandFamily, coefficients, integrate
+
+from reference import IntPoly, cos_system, exp_sequence, tan_sequence
 
 mpmath.mp.dps = 50
 
@@ -84,3 +88,44 @@ class TestValidation:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             integrate(IntegrandFamily.SIN_KERNEL, -1, Fraction(1))
+
+
+# --------------------------------------------------------------------------
+# coefficients against the tracks on IntPoly at the generic point: two
+# derivations of the polynomials that irrcert table prints, compared as
+# polynomials, so for every r at once
+# --------------------------------------------------------------------------
+
+N_COEFFICIENTS = 60
+
+
+@functools.lru_cache(maxsize=1)
+def _track_polynomials():
+    return tan_sequence(N_COEFFICIENTS), exp_sequence(N_COEFFICIENTS), cos_system(N_COEFFICIENTS)
+
+
+def _from_the_tracks(family: IntegrandFamily, n: int) -> tuple:
+    """The tracks' (u_n, v_n) on coefficients' basis, as trimmed integer
+    lists: (u, -u, v) for the sin kernel, (u, v) for exp and (u, v, 0) for
+    cos."""
+    tan, exp, cos = _track_polynomials()
+    if family is IntegrandFamily.SIN_KERNEL:
+        u, v = tan[n]
+        polys = u, -u, v
+    elif family is IntegrandFamily.EXP_KERNEL:
+        polys = exp[n]
+    else:
+        polys = *cos[n]["IJKL".index(family.value[-1])], IntPoly()
+    return tuple(list(p.coeffs) for p in polys)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("family", list(IntegrandFamily))
+    def test_equal_the_tracks_on_the_reference_ring(self, family):
+        for n in range(N_COEFFICIENTS + 1):
+            assert coefficients(family, n) == _from_the_tracks(family, n), n
+
+    @pytest.mark.parametrize("family", list(IntegrandFamily))
+    def test_rejects_negative_index(self, family):
+        with pytest.raises(ValueError):
+            coefficients(family, -1)

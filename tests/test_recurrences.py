@@ -6,22 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irrcert.exactnum import IntPoly
-from irrcert.recurrences import (
-    cos_system,
-    cos_track,
-    exp_sequence,
-    exp_track,
-    pi_sequence,
-    pi_squared_track,
-    tan_ratio_track,
-    tan_sequence,
-    tan_track,
-)
+from irrcert.recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
 from reference import (
-    descent_identity_check, eval_rational, eval_scaled_integer,
-    even_part_in_square, odd_part_in_square, shift,
+    IntPoly, cos_system, descent_identity_check, eval_rational, eval_scaled_integer,
+    even_part_in_square, exp_sequence, odd_part_in_square, pi_sequence, shift, tan_sequence,
 )
 
 N_AUDIT = 16
