@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -80,22 +79,31 @@ class ClaimKind(Enum):
     TAN_SQ = "tan_sq"
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One rational claim, e.g. tan(a/b) = p/q; stored in lowest terms."""
-
+class _ClaimFields(NamedTuple):
     kind: ClaimKind
     arg: Optional[Fraction]
     value: Fraction
 
-    def __post_init__(self):
-        if self.arg is not None:
-            object.__setattr__(self, "arg", Fraction(self.arg))
-        object.__setattr__(self, "value", Fraction(self.value))
-        argless = _KINDS[self.kind].arg is None
-        if (self.arg is None) != argless:
-            raise ValueError(f"claim kind {self.kind.value} "
+
+class Claim(_ClaimFields):
+    """One rational claim, e.g. tan(a/b) = p/q; stored in lowest terms."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: ClaimKind, arg: Optional[Fraction], value: Fraction) -> "Claim":
+        if arg is not None:
+            arg = Fraction(arg)
+        value = Fraction(value)
+        argless = _KINDS[kind].arg is None
+        if (arg is None) != argless:
+            raise ValueError(f"claim kind {kind.value} "
                              f"{'takes no' if argless else 'requires an'} argument")
+        return tuple.__new__(cls, (kind, arg, value))
+
+    @classmethod
+    def _make(cls, iterable) -> "Claim":
+        # so that _replace validates the new fields too
+        return cls(*iterable)
 
 
 class SequenceId(Enum):
@@ -111,8 +119,7 @@ class RefutationMode(Enum):
     NONZERO_SQUEEZE = "nonzero_squeeze"
 
 
-@dataclass(frozen=True)
-class EnclosureRecord:
+class EnclosureRecord(NamedTuple):
     """One enclosure actually used by a certificate (fn, argument, interval)."""
 
     fn: str
@@ -121,16 +128,14 @@ class EnclosureRecord:
     hi: Fraction
 
 
-@dataclass(frozen=True)
-class TransformRecord:
+class TransformRecord(NamedTuple):
     """Identity used to reduce a squared-trig claim to a cos claim."""
 
     identity: str
     delegated: Claim
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     claim: Claim
     n: int
     sequence: Optional[SequenceId]
@@ -141,8 +146,7 @@ class Certificate:
     transform: Optional[TransformRecord]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     reason: Optional[str] = None
 

@@ -9,14 +9,15 @@ arithmetic is exact, so the usual outward-rounding worries of float
 intervals do not arise: the results are conservative by construction.
 ``sqrt_bounds`` brackets a square root on the 2**-64 grid.
 
-Everything here is immutable and safe to share across threads.
+Everything here is immutable and safe to share across threads: a
+``RatInterval`` is a named tuple, and ``_replace`` validates it afresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 
 def parse_rational(text: str) -> Fraction:
@@ -35,18 +36,26 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
-
+class _RatIntervalFields(NamedTuple):
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+
+class RatInterval(_RatIntervalFields):
+    """Closed interval [lo, hi] with exact rational endpoints."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "RatInterval":
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable) -> "RatInterval":
+        # so that _replace validates the new endpoints too
+        return cls(*iterable)
 
     @classmethod
     def from_point(cls, x: Fraction) -> "RatInterval":

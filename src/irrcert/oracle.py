@@ -48,35 +48,37 @@ def coefficients(family: IntegrandFamily, n: int) -> Tuple[List[int], ...]:
     order = 1 if family is IntegrandFamily.EXP_KERNEL else 2
     # n! P = x**k (t x**e - x**(2e))**n has the monomial (-1)**j C(n, j) t**(n-j)
     # at x**(e (n + j) + k).  Q = n! P - Q^(order) (C, or E for the exp kernel)
-    # is built from the top power of x down, holding its last `order`
-    # coefficients, each a polynomial in t of degree <= n; Q(r) and Q'(r) are
-    # summed on the way, x**m at x = r being t**(m/e).  For the cos families C
-    # has the parity of k, so of C(r) and S(r) = Q'(r) only the one whose
-    # powers of x are even is whole, and only it is read.
+    # is built from the top power of x down, each coefficient a polynomial in t
+    # of degree <= n, holding the last order // e built.  For the cos families
+    # C has the parity of k, so only its powers x**m with m = k mod 2 are built,
+    # and of C(r) and S(r) = Q'(r) only the one whose powers of x are even is
+    # whole and summed; the sin kernel sums Q(r) and Q'(r), the exp kernel Q(r).
+    # sums[d] holds Q^(d)(r), x**m at x = r being t**(m/e).
+    derivatives = (0, 1) if family is IntegrandFamily.SIN_KERNEL else (k % 2,)
     top = 2 * e * n + k
-    held = [[0] * (n + 1) for _ in range(order)]
-    value, slope = ([0] * (top // e + n + 1) for _ in range(2))
-    for m in range(top, -1, -1):
+    held = [[0] * (n + 1) for _ in range(order // e)]
+    sums = {d: [0] * (top // e + n + 1) for d in derivatives}
+    for m in range(top, k % 2 - 1, -e):
         factor = perm(m + order, order)
         q = [-factor * c for c in held[-1]]
-        i, rem = divmod(m - k, e)
-        if rem == 0 and i >= n:
+        i = (m - k) // e
+        if i >= n:
             q[2 * n - i] += (-1) ** (i - n) * comb(n, i - n)
         held = [q] + held[:-1]
-        for acc, power, weight in ((value, m, 1), (slope, m - 1, m)):
-            if power >= 0 and power % e == 0:
-                for d, c in enumerate(q, power // e):
-                    acc[d] += weight * c
+        for d, acc in sums.items():
+            if m >= d:
+                weight = perm(m, d)
+                for power, c in enumerate(q, (m - d) // e):
+                    acc[power] += weight * c
     # one exact division by n!; a negative divisor also negates
     nf = factorial(n)
     if family is IntegrandFamily.EXP_KERNEL:
-        return _quotient(held[0], -nf), _quotient(value, nf)
-    at_0, slope_at_0 = held
+        return _quotient(held[0], -nf), _quotient(sums[0], nf)
     if family is IntegrandFamily.SIN_KERNEL:
-        return _quotient(at_0, nf), _quotient(value, -nf), _quotient(slope, nf)
-    if family in (IntegrandFamily.COS_I, IntegrandFamily.COS_K):
-        return _quotient(value, nf), _quotient(at_0, -nf), _quotient(slope_at_0, -nf)
-    return _quotient(slope, nf), _quotient(slope_at_0, -nf), _quotient(at_0, nf)
+        return _quotient(held[0], nf), _quotient(sums[0], -nf), _quotient(sums[1], nf)
+    # held[0] is Q's coefficient at x**(k mod 2): C(0) for the even k, S(0)
+    # for the odd, and the other one is 0
+    return _quotient(sums[k % 2], nf), _quotient(held[0], -nf), []
 
 
 def _value(p: List[int], t: Fraction) -> Fraction:

@@ -12,7 +12,6 @@ under a second.  The checker, parser and CLI tests share them.
 
 import json
 import threading
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -77,7 +76,7 @@ def canonical(claim: Claim):
 def forged_index_text(claim: Claim, forge) -> str:
     """The canonical certificate of ``claim`` with its index n set to forge(n)."""
     cert = canonical(claim)
-    return to_canonical_json(replace(cert, n=forge(cert.n)))
+    return to_canonical_json(cert._replace(n=forge(cert.n)))
 
 
 def forged_claim_text(claim: Claim, field: str, old: str, new: str, size: int, n=None) -> str:
@@ -86,7 +85,7 @@ def forged_claim_text(claim: Claim, field: str, old: str, new: str, size: int, n
     and, if given, its index set to n: ``size`` bytes that parse, for a claim
     whose bound rises far past that index."""
     cert = canonical(claim)
-    text = to_canonical_json(cert if n is None else replace(cert, n=n))
+    text = to_canonical_json(cert if n is None else cert._replace(n=n))
     out = text.replace(f'"{field}":"{old}"', f'"{field}":"{new}"', 1)
     assert out != text and len(out) == size
     return out

@@ -11,7 +11,6 @@ import hashlib
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from irrcert.certificates import (
@@ -269,29 +268,25 @@ def test_criterion_4_refutation_corpus():
 
 
 def mutations(cert):
-    yield "witness+1", replace(cert, witness=cert.witness + 1)
-    yield "witness-1", replace(cert, witness=cert.witness - 1)
-    yield "n+1", replace(cert, n=cert.n + 1)
+    yield "witness+1", cert._replace(witness=cert.witness + 1)
+    yield "witness-1", cert._replace(witness=cert.witness - 1)
+    yield "n+1", cert._replace(n=cert.n + 1)
     if cert.n >= 1:
-        yield "n-1", replace(cert, n=cert.n - 1)
+        yield "n-1", cert._replace(n=cert.n - 1)
     if cert.sequence is None:
-        yield "sequence-added", replace(cert, sequence=SequenceId.I)
+        yield "sequence-added", cert._replace(sequence=SequenceId.I)
     else:
         swap = SequenceId.J if cert.sequence is SequenceId.I else SequenceId.I
-        yield "sequence-swap", replace(cert, sequence=swap)
+        yield "sequence-swap", cert._replace(sequence=swap)
     bound = cert.bound
-    yield "bound-num+1", replace(
-        cert, bound=F(bound.numerator + 1, bound.denominator)
-    )
+    yield "bound-num+1", cert._replace(bound=F(bound.numerator + 1, bound.denominator))
     if cert.enclosures:
         rec = cert.enclosures[0]
-        widened = replace(rec, lo=rec.lo - 2, hi=rec.hi + 2)
-        yield "enclosure-widened", replace(
-            cert, enclosures=(widened,) + cert.enclosures[1:]
-        )
+        widened = rec._replace(lo=rec.lo - 2, hi=rec.hi + 2)
+        yield "enclosure-widened", cert._replace(enclosures=(widened,) + cert.enclosures[1:])
     else:
         bogus = EnclosureRecord("sin", F(1), F(-2), F(2))
-        yield "enclosure-added", replace(cert, enclosures=(bogus,))
+        yield "enclosure-added", cert._replace(enclosures=(bogus,))
 
 
 def test_criterion_5_mutation_suite():

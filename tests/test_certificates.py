@@ -3,7 +3,6 @@
 import hashlib
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -260,19 +259,18 @@ class TestHypothesisIndependence:
 class TestChecker:
     def test_structural_rejections(self):
         cert = refute(Claim(ClaimKind.TAN, F(1), F(2)))
-        assert not check_certificate(replace(cert, n=-1)).ok
-        assert not check_certificate(replace(cert, sequence=SequenceId.I)).ok
+        assert not check_certificate(cert._replace(n=-1)).ok
+        assert not check_certificate(cert._replace(sequence=SequenceId.I)).ok
         assert not check_certificate(
-            replace(cert, mode=RefutationMode.POSITIVE_SQUEEZE)
+            cert._replace(mode=RefutationMode.POSITIVE_SQUEEZE)
         ).ok
         assert not check_certificate(
-            replace(
-                cert,
+            cert._replace(
                 transform=TransformRecord("sin_sq", Claim(ClaimKind.COS, F(4), F(1, 3))),
             )
         ).ok
         cos_cert = refute(Claim(ClaimKind.COS, F(1), F(1, 2)))
-        assert not check_certificate(replace(cos_cert, sequence=None)).ok
+        assert not check_certificate(cos_cert._replace(sequence=None)).ok
 
     # an index that is not an int must not reach the stream: True == 1 would
     # replay as n = 1, and a float breaks the integer arithmetic
@@ -282,31 +280,30 @@ class TestChecker:
         (Claim(ClaimKind.PI, None, F(355, 113)), 755.0),
     ])
     def test_a_non_integer_index_is_malformed(self, claim, n):
-        cert = replace(refute(claim), n=n)
+        cert = refute(claim)._replace(n=n)
         assert check_certificate(cert).reason == "malformed: index n must be an integer"
 
     def test_transform_mutations(self):
         cert = refute(Claim(ClaimKind.SIN_SQ, F(1), F(7, 10)))
-        wrong_value = replace(
-            cert, transform=TransformRecord("sin_sq", Claim(ClaimKind.COS, F(4), F(1, 5)))
+        wrong_value = cert._replace(
+            transform=TransformRecord("sin_sq", Claim(ClaimKind.COS, F(4), F(1, 5)))
         )
         assert check_certificate(wrong_value).reason == "transform mismatch"
-        wrong_identity = replace(
-            cert, transform=TransformRecord("cos_sq", cert.transform.delegated)
+        wrong_identity = cert._replace(
+            transform=TransformRecord("cos_sq", cert.transform.delegated)
         )
         assert check_certificate(wrong_identity).reason == "transform mismatch"
 
     def test_witness_and_bound_mutations(self):
         cert = refute(Claim(ClaimKind.PI, None, F(22, 7)))
-        assert check_certificate(replace(cert, witness=cert.witness + 1)).reason == "witness mismatch"
-        worse = replace(cert, bound=cert.bound + 1)
+        assert check_certificate(cert._replace(witness=cert.witness + 1)).reason == "witness mismatch"
+        worse = cert._replace(bound=cert.bound + 1)
         assert check_certificate(worse).reason == "bound mismatch"
 
     def test_enclosure_mutation(self):
         cert = refute(Claim(ClaimKind.COS, F(1), F(1, 2)))
-        widened = replace(
-            cert,
-            enclosures=(replace(cert.enclosures[0], lo=F(-2), hi=F(2)),),
+        widened = cert._replace(
+            enclosures=(cert.enclosures[0]._replace(lo=F(-2), hi=F(2)),),
         )
         assert check_certificate(widened).reason == "enclosure transcript mismatch"
 
@@ -327,8 +324,7 @@ class TestChecker:
         )
         assert accepted is not None
         bound, enclosures = accepted
-        forged = replace(
-            cert,
+        forged = cert._replace(
             sequence=SequenceId.J,
             witness=witness,
             bound=bound,
@@ -340,7 +336,7 @@ class TestChecker:
 
     def test_checker_rejects_degenerate_claim_certificates(self):
         cert = refute(Claim(ClaimKind.TAN, F(1), F(2)))
-        doctored = replace(cert, claim=Claim(ClaimKind.TAN, F(0), F(2)))
+        doctored = cert._replace(claim=Claim(ClaimKind.TAN, F(0), F(2)))
         result = check_certificate(doctored)
         assert not result.ok
         assert "rejected on replay" in result.reason
@@ -414,7 +410,7 @@ class TestSerialization:
     # "n":true or "n":1.0
     @pytest.mark.parametrize("n", [True, 1.0])
     def test_the_writer_refuses_a_non_integer_index(self, n):
-        cert = replace(refute(Claim(ClaimKind.COS, F(1), F(1, 2))), n=n)
+        cert = refute(Claim(ClaimKind.COS, F(1), F(1, 2)))._replace(n=n)
         with pytest.raises(ValueError, match="^index n must be an integer$"):
             to_canonical_json(cert)
 

@@ -10,7 +10,6 @@ criterion-5 mutant.
 
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -158,7 +157,7 @@ def test_huge_argument_is_rejected_before_the_engine_builds(monkeypatch):
 def test_a_degenerate_claim_keeps_its_reason_before_the_lower_check(claim, degenerate, reason):
     # the lower check reads the claim before the engine does, and must leave
     # the engine's own refusal as the reason
-    result = check_certificate(replace(refute(claim), claim=degenerate))
+    result = check_certificate(refute(claim)._replace(claim=degenerate))
     assert (result.ok, result.reason) == (False, f"claim rejected on replay: {reason}")
 
 
@@ -173,8 +172,8 @@ def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):
         if (n, sequence) == (1, SequenceId.J):
             bound, enclosures = attempt()
             break
-    forged = replace(cert, sequence=SequenceId.J, witness=witness, bound=bound,
-                     enclosures=enclosures)
+    forged = cert._replace(sequence=SequenceId.J, witness=witness, bound=bound,
+                           enclosures=enclosures)
     calls = []
     search = certificates.refute
 
@@ -226,8 +225,8 @@ def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
             continue
         accepted = attempt()
         bound, enclosures = accepted if accepted is not None else (cert.bound, cert.enclosures)
-        forged = replace(cert, n=n, sequence=sequence, witness=witness, bound=bound,
-                         enclosures=enclosures)
+        forged = cert._replace(n=n, sequence=sequence, witness=witness, bound=bound,
+                               enclosures=enclosures)
         assert check_certificate(forged).ok == (_search(claim, n) == forged), (n, sequence)
         forged_count += 1
     assert forged_count >= 2
@@ -265,8 +264,8 @@ def test_full_kept_list_is_tried_at_once_and_not_after_a_success(monkeypatch):
     for n, sequence, witness, _below, attempt in engine.stream(14):
         if (n, sequence) == (14, SequenceId.L):
             bound, enclosures = attempt()
-    forged = replace(cert, n=14, sequence=SequenceId.L, witness=witness, bound=bound,
-                     enclosures=enclosures)
+    forged = cert._replace(n=14, sequence=SequenceId.L, witness=witness, bound=bound,
+                           enclosures=enclosures)
     monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", 1)
     events = []
     stream = certificates._CosSystem.stream

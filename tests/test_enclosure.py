@@ -5,7 +5,6 @@ mpmath supplies the independent high-precision reference values; it is never
 used by the library itself.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import ceil, factorial, isqrt
 
@@ -498,7 +497,7 @@ def _assert_bracket(claim: Claim, cert) -> None:
     rise = kind.rise(delegated)
     assert cert.n > rise
     if rise >= 1:
-        forged = replace(cert, n=rise - 1)
+        forged = cert._replace(n=rise - 1)
         assert check_certificate(forged).reason == (
             f"index before the start of the search at n={rise + 1}")
         assert certificates._check_pass(forged, kind, kind.engine(delegated, width)) is not None

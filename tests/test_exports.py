@@ -139,6 +139,21 @@ def test_importing_the_root_leaves_the_oracle_unloaded():
     assert "'irrcert.oracle'" not in loaded
 
 
+@pytest.mark.parametrize("module", ["irrcert", "irrcert.cli"])
+def test_importing_leaves_dataclasses_and_inspect_unloaded(module):
+    # -S: no .pth file under site-packages runs, so what is loaded is the
+    # package's own doing
+    src = Path(irrcert.__file__).resolve().parent.parent
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
+            "print(sorted(sys.modules))")
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert f"'{module}'" in loaded
+    assert "'dataclasses'" not in loaded
+    assert "'inspect'" not in loaded
+
+
 def test_every_exported_name_is_an_attribute():
     missing = [name for name in irrcert.__all__ if not hasattr(irrcert, name)]
     assert missing == []
