@@ -48,11 +48,11 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from math import factorial, lgamma, log
+from math import factorial, gcd, lgamma, log
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from .enclosure import Func, enclose, even_series, exp_upper_bound
-from .exactnum import RatInterval, format_rational, sqrt_bounds
+from .exactnum import format_rational, sqrt_bounds
 from .recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
 # witness integers can run to thousands of digits; lift the int/str guard
@@ -91,9 +91,10 @@ class Claim(_ClaimFields):
     __slots__ = ()
 
     def __new__(cls, kind: ClaimKind, arg: Optional[Fraction], value: Fraction) -> "Claim":
-        if arg is not None:
+        # Fraction() of a Fraction goes through the slow ABC isinstance path
+        if arg is not None and type(arg) is not Fraction:
             arg = Fraction(arg)
-        value = Fraction(value)
+        value = value if type(value) is Fraction else Fraction(value)
         argless = _KINDS[kind].arg is None
         if (arg is None) != argless:
             raise ValueError(f"claim kind {kind.value} "
@@ -185,38 +186,43 @@ class InconclusiveError(RefutationError):
 
 def _enclosure_away_from_zero(
     fn: Func, arg: Fraction, start_width: Fraction
-) -> Tuple[RatInterval, EnclosureRecord]:
+) -> Tuple[Tuple[int, int], EnclosureRecord]:
     """Deterministic zero-excluding enclosure: halve the width until the
-    interval no longer straddles zero."""
+    interval no longer straddles zero.  Returns the least |x| over it as a
+    (num, den) pair, and its record."""
+    num, den = start_width.numerator, start_width.denominator
     for halvings in range(_MAX_ZERO_EXCLUSION_HALVINGS):
-        width = start_width / 2**halvings
-        iv = enclose(fn, arg, width)
-        if not iv.contains_zero():
-            return iv, EnclosureRecord(fn.value, arg, iv.lo, iv.hi)
+        width = Fraction(num, den << halvings)
+        lo, hi = enclose(fn, arg, width)
+        if lo.numerator > 0 or hi.numerator < 0:
+            end = lo if lo.numerator > 0 else hi
+            return (abs(end.numerator), end.denominator), EnclosureRecord(fn.value, arg, lo, hi)
     raise SinZeroUnresolvedError(f"{fn.value}({arg}) not separable from zero at width {width}")
 
 
-def _sqrt_record(x: Fraction) -> Tuple[Fraction, EnclosureRecord]:
-    iv = sqrt_bounds(x)
-    return iv.hi, EnclosureRecord("sqrt", x, iv.lo, iv.hi)
+def _sqrt_record(x: Fraction) -> Tuple[Tuple[int, int], EnclosureRecord]:
+    lo, hi = sqrt_bounds(x)
+    return (hi.numerator, hi.denominator), EnclosureRecord("sqrt", x, lo, hi)
 
 
 class _Decay:
-    """The bound start * ratio**n / n! at an index n.
+    """The bound start * ratio**n / n! at an index n, for a start and a ratio
+    given as (num, den) pairs of positive integers.
 
     It is kept as the unreduced integer pair num/den = start_num * rn**n over
     start_den * rd**n * n!, whether reached by ``step`` or by ``seek``, and
-    compared with 1 by cross-multiplication; a Fraction is built only for a
-    value that leaves the search.
+    compared with 1 by cross-multiplication.  Weights are (num, den) pairs
+    too; a Fraction is built only for a value that leaves the search.
     """
 
     __slots__ = ("start", "ratio", "ratio_num", "ratio_den", "num", "den", "n")
 
-    def __init__(self, start: Fraction, ratio: Fraction):
-        self.start, self.ratio = start, ratio
-        # plain ints: Fraction.numerator is a property call on every step
-        self.ratio_num, self.ratio_den = ratio.numerator, ratio.denominator
-        self.num, self.den = start.numerator, start.denominator
+    def __init__(self, start: Tuple[int, int], ratio: Tuple[int, int]):
+        # the ratio in lowest terms, so that stepping carries no common factor
+        divisor = gcd(*ratio)
+        self.ratio_num, self.ratio_den = ratio[0] // divisor, ratio[1] // divisor
+        self.start, self.ratio = start, (self.ratio_num, self.ratio_den)
+        self.num, self.den = start
         self.n = 0
 
     def step(self) -> None:
@@ -226,11 +232,10 @@ class _Decay:
 
     def _pair(self, m: int) -> Tuple[int, int]:
         """(num, den) at index m, in closed form: the pair stepping builds."""
-        start = self.start
-        return (start.numerator * self.ratio_num ** m,
-                start.denominator * self.ratio_den ** m * factorial(m))
+        num, den = self.start
+        return num * self.ratio_num ** m, den * self.ratio_den ** m * factorial(m)
 
-    def seek(self, weight: Fraction, limit: int) -> None:
+    def seek(self, weight: Tuple[int, int], limit: int) -> None:
         """Jump to the first index in (n, limit] where bound * weight < 1, or
         to limit if there is none; bound * weight must not be below 1 at n.
 
@@ -240,7 +245,7 @@ class _Decay:
         false and then true for good on (n, limit], and integer probes find
         the switch.  A float guess g only places the first probes, at g and
         g - 1, which decide it whenever g is right."""
-        wn, wd = weight.numerator, weight.denominator
+        wn, wd = weight
         pairs = {}
 
         def below(m: int) -> bool:
@@ -258,33 +263,31 @@ class _Decay:
         self.n = m
         self.num, self.den = pairs[m]
 
-    def _guess(self, weight: Fraction, limit: int) -> int:
+    def _guess(self, weight: Tuple[int, int], limit: int) -> int:
         """The same switch as ``seek`` finds, on the float logarithm
         log(start * weight) + m log(ratio) - lgamma(m + 1); it may be off."""
-        start = self.start
-        log_start = (log(start.numerator * weight.numerator)
-                     - log(start.denominator * weight.denominator))
+        (num, den), (wn, wd) = self.start, weight
+        log_start = log(num * wn) - log(den * wd)
         log_ratio = log(self.ratio_num) - log(self.ratio_den)
         return _first_true(lambda m: log_start + m * log_ratio < lgamma(m + 1),
                            self.n, limit + 1)
 
-    def below_one(self, weight: Fraction) -> bool:
+    def below_one(self, weight: Tuple[int, int]) -> bool:
         """Whether bound * weight < 1."""
-        return self.num * weight.numerator < self.den * weight.denominator
-
-    def value(self, weight: Fraction = Fraction(1)) -> Fraction:
-        return Fraction(self.num, self.den) * weight
+        wn, wd = weight
+        return self.num * wn < self.den * wd
 
     def inconclusive(
-        self, n_cap: int, weight: Fraction = Fraction(1), peak_weight: Fraction = Fraction(1)
+        self, n_cap: int, weight: Tuple[int, int] = (1, 1), peak_weight: Tuple[int, int] = (1, 1)
     ) -> InconclusiveError:
         """The diagnostic after reaching n_cap.  The bound rises while the
         step factor ratio/n is >= 1 and falls after: the largest bound up to
         n_cap is the one at m = min(n_cap, ratio)."""
         if n_cap < 0:
             return InconclusiveError(n_cap, None, None)
-        peak = Fraction(*self._pair(min(n_cap, self.ratio_num // self.ratio_den)))
-        return InconclusiveError(n_cap, self.value(weight), peak * peak_weight)
+        num, den = self._pair(min(n_cap, self.ratio_num // self.ratio_den))
+        return InconclusiveError(n_cap, Fraction(self.num * weight[0], self.den * weight[1]),
+                                 Fraction(num * peak_weight[0], den * peak_weight[1]))
 
 
 def _first_true(test: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -300,7 +303,7 @@ def _first_true(test: Callable[[int], bool], lo: int, hi: int) -> int:
 
 
 def _visits(
-    decay: _Decay, weight: Fraction, track: Iterator, n_cap: Optional[int]
+    decay: _Decay, weight: Tuple[int, int], track: Iterator, n_cap: Optional[int]
 ) -> Iterator[tuple]:
     """(n, below, next value of track) at every index from 0 to n_cap (without
     end for None) where below, that is decay * weight < 1, holds, and at n_cap;
@@ -358,7 +361,7 @@ class _ThreeTerm:
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
         accept = self._accept
-        for n, below, witness in _visits(self.bound, Fraction(1), self.witnesses, n_cap):
+        for n, below, witness in _visits(self.bound, (1, 1), self.witnesses, n_cap):
             yield n, None, witness, below, accept
 
     def settles(self, sequence: Optional[SequenceId]) -> bool:
@@ -378,34 +381,34 @@ class _ThreeTerm:
 # enclosure trap it in (-1, 1).
 # --------------------------------------------------------------------------
 
-def _tan_step(r: Fraction) -> Tuple[int, int]:
+def _tan_step(a: int, b: int) -> Tuple[int, int]:
     """The step ratio a**2 / (4 b) as (num, den) of the kernel bound
-    r (r**2/4)**n / n! scaled by b**n, for r = a/b: the tan engine's at
-    r = 2t, the pi engine's at the claimed value and the exp engine's at
-    the exponent."""
-    return r.numerator ** 2, 4 * r.denominator
+    r (r**2/4)**n / n! scaled by b**n, for r = a/b in lowest terms: the tan
+    engine's at r = 2t, the pi engine's at the claimed value and the exp
+    engine's at the exponent."""
+    return a * a, 4 * b
 
 
 def _tan_rise(claim: Claim) -> int:
     """floor(ratio): |sin r| <= |r| makes the start at least q."""
-    t = claim.arg
-    num, den = _tan_step(2 * t)
-    return num // den if t else -1
+    r = Fraction(2 * claim.arg.numerator, claim.arg.denominator)
+    num, den = _tan_step(r.numerator, r.denominator)
+    return num // den if r else -1
 
 
 def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
-    t = claim.arg
-    if t == 0:
+    a, b = claim.arg.numerator, claim.arg.denominator
+    if a == 0:
         raise DegenerateClaimError("tan claim requires a nonzero argument")
-    value = claim.value
-    if t < 0:  # tan is odd
-        t, value = -t, -value
-    r = 2 * t
-    sin_iv, sin_record = _enclosure_away_from_zero(Func.SIN, r, width)
-    p, q = value.numerator, value.denominator
+    p, q = claim.value.numerator, claim.value.denominator
+    if a < 0:  # tan is odd
+        a, p = -a, -p
+    r = Fraction(2 * a, b)
+    (sin_num, sin_den), sin_record = _enclosure_away_from_zero(Func.SIN, r, width)
+    rn, rd = r.numerator, r.denominator
     return _ThreeTerm(
-        tan_track(r.numerator, r.denominator, p, q),
-        _Decay(q * r / sin_iv.min_abs(), Fraction(*_tan_step(r))),
+        tan_track(rn, rd, p, q),
+        _Decay((q * rn * sin_den, rd * sin_num), _tan_step(rn, rd)),  # q r / min |sin r|
         (sin_record,),
     )
 
@@ -418,16 +421,16 @@ def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 
 def _pi_rise(claim: Claim) -> int:
     """floor(ratio) once the start, the claimed value, is at least 1."""
-    num, den = _tan_step(claim.value)
-    return num // den if claim.value >= 1 else -1
+    a, b = claim.value.numerator, claim.value.denominator
+    num, den = _tan_step(a, b)
+    return num // den if a >= b else -1
 
 
 def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
-    value = claim.value
-    if value <= 0:
+    a, b = claim.value.numerator, claim.value.denominator
+    if a <= 0:
         raise DegenerateClaimError("claimed value of pi must be positive")
-    a, b = value.numerator, value.denominator
-    return _ThreeTerm(tan_track(a, b, 2, 0), _Decay(value, Fraction(*_tan_step(value))), ())
+    return _ThreeTerm(tan_track(a, b, 2, 0), _Decay((a, b), _tan_step(a, b)), ())
 
 
 # --------------------------------------------------------------------------
@@ -437,27 +440,19 @@ def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # the sqrt over-approximation goes into the transcript.
 # --------------------------------------------------------------------------
 
-def _pi_squared_step(value: Fraction) -> Tuple[int, int]:
-    """The step ratio a / 4 as (num, den), for the claimed value a/b."""
-    return value.numerator, 4
-
-
 def _pi_squared_rise(claim: Claim) -> int:
-    """floor(ratio) once the claimed value is at least 1: the start, an
-    upper bound on its square root, is then at least 1."""
-    num, den = _pi_squared_step(claim.value)
-    return num // den if claim.value >= 1 else -1
+    """floor(ratio), the claimed value a/b over 4, once a >= b: the start,
+    an upper bound on its square root, is then at least 1."""
+    a, b = claim.value.numerator, claim.value.denominator
+    return a // 4 if a >= b else -1
 
 
 def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
-    value = claim.value
-    if value <= 0:
+    a, b = claim.value.numerator, claim.value.denominator
+    if a <= 0:
         raise DegenerateClaimError("claimed value of pi**2 must be positive")
-    root_hi, record = _sqrt_record(value)
-    a, b = value.numerator, value.denominator
-    return _ThreeTerm(
-        pi_squared_track(a, b), _Decay(root_hi, Fraction(*_pi_squared_step(value))), (record,)
-    )
+    root, record = _sqrt_record(claim.value)
+    return _ThreeTerm(pi_squared_track(a, b), _Decay(root, (a, 4)), (record,))
 
 
 # --------------------------------------------------------------------------
@@ -468,31 +463,31 @@ def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # conditional, exact, and rational.
 # --------------------------------------------------------------------------
 
-def _exp_point(claim: Claim) -> Tuple[Fraction, Fraction]:
-    """The exponent t > 0 and the value p/q of the claim, normalized."""
-    t = claim.arg
-    if t == 0:
+def _exp_point(claim: Claim) -> Tuple[int, int, int, int]:
+    """(a, b, p, q): the exponent a/b > 0 and the value p/q of the claim,
+    normalized."""
+    a, b = claim.arg.numerator, claim.arg.denominator
+    if a == 0:
         raise DegenerateClaimError("exp claim requires a nonzero exponent")
-    value = claim.value
-    if value <= 0:
+    p, q = claim.value.numerator, claim.value.denominator
+    if p <= 0:
         raise DegenerateClaimError("claimed value of an exponential must be positive")
-    if t < 0:
-        t, value = -t, 1 / value
-    return t, value
+    if a < 0:
+        a, p, q = -a, q, p
+    return a, b, p, q
 
 
 def _exp_rise(claim: Claim) -> int:
-    """floor(ratio) once the start p t is at least 1.  A degenerate claim
+    """floor(ratio) once the start p a / b is at least 1.  A degenerate claim
     raises the engine's own error, so the checker's reason is unchanged."""
-    t, value = _exp_point(claim)
-    num, den = _tan_step(t)
-    return num // den if value.numerator * t >= 1 else -1
+    a, b, p, _ = _exp_point(claim)
+    num, den = _tan_step(a, b)
+    return num // den if p * a >= b else -1
 
 
 def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
-    t, value = _exp_point(claim)
-    p, q, a, b = value.numerator, value.denominator, t.numerator, t.denominator
-    return _ThreeTerm(exp_track(a, b, q, p), _Decay(p * t, Fraction(*_tan_step(t))), ())
+    a, b, p, q = _exp_point(claim)
+    return _ThreeTerm(exp_track(a, b, q, p), _Decay((p * a, b), _tan_step(a, b)), ())
 
 
 # --------------------------------------------------------------------------
@@ -513,16 +508,19 @@ def _tan_ratio_rise(claim: Claim) -> int:
 
 def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     s = claim.arg
-    if s == 0:
+    a, b = s.numerator, s.denominator
+    if a == 0:
         raise DegenerateClaimError("tan-ratio claim requires a nonzero squared argument")
-    if s < 0:
+    if a < 0:
         raise NegativeSquareUnsupportedError("tan-ratio claims with s < 0 are unsupported")
-    sinc_iv, sinc_record = _enclosure_away_from_zero(Func.SINC_FROM_S, 4 * s, width)
-    root_hi, sqrt_rec = _sqrt_record(s)
-    p, q, a, b = claim.value.numerator, claim.value.denominator, s.numerator, s.denominator
+    (sinc_num, sinc_den), sinc_record = _enclosure_away_from_zero(
+        Func.SINC_FROM_S, Fraction(4 * a, b), width)
+    (root_num, root_den), sqrt_rec = _sqrt_record(s)
+    p, q = claim.value.numerator, claim.value.denominator
     return _ThreeTerm(
         tan_ratio_track(a, b, p, 2 * q),
-        _Decay(q * root_hi / (s * sinc_iv.min_abs()), Fraction(a)),
+        # q sqrt(s) / (s min |sinc(4s)|), with sqrt(s) rounded up
+        _Decay((q * root_num * b * sinc_den, root_den * a * sinc_num), (a, 1)),
         (sinc_record, sqrt_rec),
     )
 
@@ -557,28 +555,33 @@ class _CosSystem:
 
     def __init__(self, claim: Claim, width: Fraction):
         s = claim.arg
-        if s == 0:
+        a, b = s.numerator, s.denominator
+        if a == 0:
             raise DegenerateClaimError("cos claim requires a nonzero squared argument")
         self.p, self.q = claim.value.numerator, claim.value.denominator
         self.s, self.width = s, width
         self.cos = even_series(s, 0)
         self.last = None  # the last (lo, hi, den) the series returned
-        root_hi = sqrt_bounds(abs(s)).hi
-        # the tail bound of the sequence with weight power k is
-        # weights[k] * (s**2/4)**n / n! for s > 0, and
-        # weights[k] * hyper * (2 s**2)**n / n! for s < 0, where hyper is a
-        # rational upper bound on e**sqrt(-s)
-        self.weights = tuple(root_hi ** (k + 1) for k in range(4))
-        hyper = exp_upper_bound(root_hi) if s < 0 else Fraction(1)
+        root = sqrt_bounds(Fraction(abs(a), b)).hi
+        root_num, root_den = root.numerator, root.denominator
+        # the tail bound of the sequence with weight power k is w_k (s**2/4)**n
+        # / n! for s > 0 and w_k hyper (2 s**2)**n / n! for s < 0, where w_k =
+        # root**(k + 1) for the root bound root >= sqrt|s|, held as a (num, den)
+        # pair per sequence, and hyper is a rational upper bound on e**sqrt(-s)
+        self.weights = {seq: (root_num ** k, root_den ** k) for k, seq in enumerate(SequenceId, 1)}
+        # the least and the largest weight: w_0 and w_3, as sqrt|s| is >= 1 or not
+        ends = self.weights[SequenceId.I], self.weights[SequenceId.L]
+        self.least, self.largest = ends if root_num >= root_den else ends[::-1]
+        hyper = exp_upper_bound(root) if a < 0 else Fraction(1)
         # the gate is b**(2n+1) * tail bound without the weight factor
-        self.gate = _Decay(s.denominator * hyper, Fraction(*_cos_step(s)))
+        self.gate = _Decay((b * hyper.numerator, hyper.denominator), _cos_step(s))
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
-        p, q, gate, weights = self.p, self.q, self.gate, self.weights
+        p, q, gate, weights = self.p, self.q, self.gate, self.weights.items()
         tracks = cos_track(self.s.numerator, self.s.denominator)
         # no gate is below 1 while the one with the least weight is not
-        for n, open_, pairs in _visits(gate, min(weights), tracks, n_cap):
-            for seq_id, weight, (u, v) in zip(SequenceId, weights, pairs):
+        for n, open_, pairs in _visits(gate, self.least, tracks, n_cap):
+            for (seq_id, weight), (u, v) in zip(weights, pairs):
                 if open_ and gate.below_one(weight):
                     yield n, seq_id, q * u + p * v, True, partial(self._attempt, u, v)
                 else:
@@ -587,7 +590,8 @@ class _CosSystem:
     def settles(self, sequence: SequenceId) -> bool:
         """Whether q * gate * weight < 1: the true value then lies inside
         (-1, 1), so the slot's subset attempt succeeds."""
-        return self.gate.below_one(self.q * self.weights[list(SequenceId).index(sequence)])
+        num, den = self.weights[sequence]
+        return self.gate.below_one((self.q * num, den))
 
     def _attempt(self, u: int, v: int) -> Optional[Tuple[Fraction, Tuple[EnclosureRecord, ...]]]:
         """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v
@@ -612,9 +616,10 @@ class _CosSystem:
         # a width-w cos enclosure becomes a value window of width w |q v|, so
         # divide the coefficient out up front; the halvings below then only fire
         # when the true value sits within the start width of the unit boundary
-        width = self.width / max(1, 2 * abs(qv))
+        width_num = self.width.numerator
+        width_den = self.width.denominator * max(1, 2 * abs(qv))
         while True:
-            self.last = lo, hi, den = self.cos.window(width)
+            self.last = lo, hi, den = self.cos.window(Fraction(width_num, width_den))
             low, high, den = self._value_window(qu, qv, self.last)
             if -den < low and high < den:
                 record = EnclosureRecord(Func.COS_FROM_S.value, self.s, Fraction(lo, den),
@@ -622,22 +627,21 @@ class _CosSystem:
                 return Fraction(max(-low, high), den), (record,)
             if low >= den or high <= -den:
                 return None
-            width /= 2
+            width_den *= 2
 
     @staticmethod
     def _value_window(qu: int, qv: int, window: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """(low, high, den): q (u + v cos r) lies in [low / den, high / den]
-        when cos r lies in the window [lo / den, hi / den]."""
+        when cos r lies in the window [lo / den, hi / den].  hi - lo, twice
+        the radius, is shorter than lo or hi: high costs no second full product."""
         lo, hi, den = window
-        centre = qu * den
-        low, high = sorted((centre + qv * lo, centre + qv * hi))
-        return low, high, den
+        low = qu * den + qv * (lo if qv >= 0 else hi)
+        return low, low + abs(qv) * (hi - lo), den
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
         # peak, with the largest weight
-        weights = self.weights
-        return self.gate.inconclusive(n_cap, weights[3], max(weights[0], weights[3]))
+        return self.gate.inconclusive(n_cap, self.weights[SequenceId.L], self.largest)
 
 
 _Engine = Union[_ThreeTerm, _CosSystem]
@@ -649,10 +653,10 @@ _Engine = Union[_ThreeTerm, _CosSystem]
 #   cos 2r = 1 - 2 sin**2 r = 2 cos**2 r - 1 = (1 - tan**2 r)/(1 + tan**2 r).
 # --------------------------------------------------------------------------
 
-def _tan_sq_to_cos(value: Fraction) -> Fraction:
-    if value == -1:
+def _tan_sq_to_cos(p: int, q: int) -> Tuple[int, int]:
+    if p == -q:
         raise DegenerateClaimError("tan**2 = -1 leaves cos 2r undefined")
-    return (1 - value) / (1 + value)
+    return q - p, q + p
 
 
 class _Kind(NamedTuple):
@@ -666,8 +670,8 @@ class _Kind(NamedTuple):
     # 1, so that no slot up to it is a candidate; -1 where that is not known.
     # It reads the claim alone, before any enclosure is built
     rise: Callable[[Claim], int]
-    # squared-trig kinds only: the claimed value mapped to the value of cos 2r
-    to_cos: Optional[Callable[[Fraction], Fraction]] = None
+    # squared-trig kinds only: the claimed value p, q mapped to cos 2r as (num, den)
+    to_cos: Optional[Callable[[int, int], Tuple[int, int]]] = None
 
 
 _NONZERO, _POSITIVE = RefutationMode.NONZERO_SQUEEZE, RefutationMode.POSITIVE_SQUEEZE
@@ -679,8 +683,8 @@ _KINDS = {
     ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None, _pi_squared_rise),
     ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t", _exp_rise),
     ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s", _cos_rise),
-    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda value: 1 - 2 * value),
-    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda value: 2 * value - 1),
+    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda p, q: (q - 2 * p, q)),
+    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda p, q: (2 * p - q, q)),
     ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, _tan_sq_to_cos),
 }
 
@@ -692,9 +696,11 @@ def _delegate(claim: Claim) -> Tuple[Claim, Optional[TransformRecord]]:
     to_cos = _KINDS[claim.kind].to_cos
     if to_cos is None:
         return claim, None
-    if claim.arg == 0:
+    s, value = claim.arg, claim.value
+    if s.numerator == 0:
         raise DegenerateClaimError("squared-trig claim requires a nonzero squared argument")
-    delegated = Claim(ClaimKind.COS, 4 * claim.arg, to_cos(claim.value))
+    delegated = Claim(ClaimKind.COS, Fraction(4 * s.numerator, s.denominator),
+                      Fraction(*to_cos(value.numerator, value.denominator)))
     return delegated, TransformRecord(identity=claim.kind.value, delegated=delegated)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import ceil, factorial, isqrt, prod
+from math import factorial, isqrt
 from typing import Tuple
 
 from .exactnum import RatInterval
@@ -40,37 +40,35 @@ class Func(Enum):
 
 
 class Series:
-    """sum_m y**m / (k m + delta)! at a width: the partial sum up to the least
-    N >= start whose radius |y|**(N+1) / (k (N+1) + delta)! * growth is at
-    most width / 2, plus and minus that radius.
+    """sum_m y**m / (k m + delta)! at a width, for y = a / b and k = 1 or 2:
+    the partial sum up to the least N >= start whose radius
+    |y|**(N+1) / (k (N+1) + delta)! * growth is at most width / 2, plus and
+    minus that radius.
 
-    The state is N, y's numerator to the N, and the sum as p f_N / rden with
-    rden = d_N f_N, where d_N = b**N (k N + delta)! and f_N = d_(N+1) / d_N.
-    A width no wider than the last resumes from N, since every smaller count
-    failed the wider width; a wider one starts over, as the radius need not
-    fall with N (the cosh branch)."""
+    The state is N, a**N, and the sum as p f_N / rden with rden = d_N f_N,
+    where d_N = b**N (k N + delta)! and f_N = d_(N+1) / d_N
+    = b (k N + delta + 1) ... (k N + delta + k).  A width no wider than the
+    last resumes from N, since every smaller count failed the wider width; a
+    wider one starts over, as the radius need not fall with N (the cosh
+    branch)."""
 
     __slots__ = ("a", "b", "k", "delta", "start", "growth", "width", "n", "p", "apow", "f", "rden")
 
-    def __init__(self, y: Fraction, k: int, delta: int, start: int, growth: int):
-        self.a, self.b = y.numerator, y.denominator
-        self.k, self.delta, self.start, self.growth = k, delta, start, growth
+    def __init__(self, a: int, b: int, k: int, delta: int, start: int, growth: int):
+        self.a, self.b, self.k, self.delta, self.start, self.growth = a, b, k, delta, start, growth
         self.width = None
-
-    def _factor(self, j: int) -> int:
-        """f_j = d_(j+1) / d_j = b (k j + delta + 1) ... (k j + delta + k)."""
-        low = self.k * j + self.delta
-        return self.b * prod(range(low + 1, low + self.k + 1))
 
     def window(self, width: Fraction) -> Tuple[int, int, int]:
         """(lo, hi, den): the enclosure at this width is [lo / den, hi / den],
         den > 0, over one unreduced common denominator."""
+        a, b, k, delta = self.a, self.b, self.k, self.delta
         if self.width is None or width > self.width:
             # N = 0: the sum 1 / delta! over d_0 = delta!
-            self.n, self.p, self.apow, self.f = 0, 1, 1, self._factor(0)
-            self.rden = factorial(self.delta) * self.f
+            self.n, self.p, self.apow = 0, 1, 1
+            self.f = b * (delta + 1) * (delta + 2 if k == 2 else 1)
+            self.rden = factorial(delta) * self.f
         self.width = width
-        a, abs_a, start, factor = self.a, abs(self.a), self.start, self._factor
+        abs_a, start = abs(a), self.start
         n, p, apow, f = self.n, self.p, self.apow, self.f
         # radius / (width / 2) as the unreduced pair num / den; the width is
         # folded in once, so each step multiplies big integers by small ones
@@ -81,7 +79,8 @@ class Series:
             n += 1
             apow *= a
             p = p * f + apow
-            f = factor(n)
+            j = k * n + delta
+            f = b * (j + 1) * (j + 2 if k == 2 else 1)
             num *= abs_a
             den *= f
         self.n, self.p, self.apow, self.f = n, p, apow, f
@@ -97,32 +96,40 @@ class Series:
 def even_series(s: Fraction, delta: int) -> Series:
     """sum_m (-1)**m s**m / (2m + delta)!  (delta 0: cos-type, delta 1:
     sinc-type), valid for either sign of s."""
-    if s < 0:
-        # ceil(sqrt(-s)) = isqrt(c - 1) + 1 with c = ceil(-s) >= 1
-        return Series(-s, 2, delta, 0, 3 ** (isqrt(ceil(-s) - 1) + 1))
+    a, b = s.numerator, s.denominator
+    if a < 0:
+        # ceil(sqrt(-s)) = isqrt(c - 1) + 1 with c = ceil(-s) = -(a // b) >= 1
+        return Series(-a, b, 2, delta, 0, 3 ** (isqrt(-(a // b) - 1) + 1))
     # start where the terms decrease from the first omitted one onward
     start = 0
-    while s > (2 * start + 3 + delta) * (2 * start + 4 + delta):
+    while a > (2 * start + 3 + delta) * (2 * start + 4 + delta) * b:
         start += 1
-    return Series(-s, 2, delta, start, 1)
+    return Series(-a, b, 2, delta, start, 1)
 
 
 def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
     """Interval provably containing fn(x), of width at most ``width``."""
-    x, w = Fraction(x), Fraction(width)
-    if w <= 0:
+    # Fraction() of a Fraction goes through the slow ABC isinstance path
+    x = x if type(x) is Fraction else Fraction(x)
+    w = width if type(width) is Fraction else Fraction(width)
+    if w.numerator <= 0:
         raise ValueError("target width must be positive")
+    a, b = x.numerator, x.denominator
     if fn is Func.EXP:
-        return Series(x, 1, 0, 0, 3 ** ceil(abs(x))).enclose(w)
+        return Series(a, b, 1, 0, 0, 3 ** -(-abs(a) // b)).enclose(w)  # 3**ceil|x|
     if fn is Func.COS_FROM_S:
         return even_series(x, 0).enclose(w)
     if fn is Func.SINC_FROM_S:
         return even_series(x, 1).enclose(w)
     if fn is Func.SIN:
-        if x == 0:
-            return RatInterval.from_point(Fraction(0))
-        # sin r = r * sinc(r); scaling by r multiplies the width by |r|
-        return even_series(x * x, 1).enclose(w / abs(x)).scale(x)
+        if a == 0:
+            return RatInterval.from_point(x)
+        # sin r = r * sinc(r): the sinc window at width w / |r|, times a / b
+        lo, hi, den = even_series(Fraction(a * a, b * b), 1).window(
+            Fraction(w.numerator * b, w.denominator * abs(a)))
+        if a < 0:
+            lo, hi = hi, lo
+        return RatInterval(Fraction(lo * a, den * b), Fraction(hi * a, den * b))
     raise ValueError(f"unknown enclosure function {fn!r}")
 
 

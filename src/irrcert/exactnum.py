@@ -47,8 +47,10 @@ class RatInterval(_RatIntervalFields):
     __slots__ = ()
 
     def __new__(cls, lo: Fraction, hi: Fraction) -> "RatInterval":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
+        # Fraction() of a Fraction goes through the slow ABC isinstance path
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = hi if type(hi) is Fraction else Fraction(hi)
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:  # lo > hi
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
         return tuple.__new__(cls, (lo, hi))
 
@@ -62,22 +64,6 @@ class RatInterval(_RatIntervalFields):
         x = Fraction(x)
         return cls(x, x)
 
-    def scale(self, c: Fraction) -> "RatInterval":
-        """Multiply both endpoints by an exact rational."""
-        c = Fraction(c)
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def min_abs(self) -> Fraction:
-        """Least |x| over the interval (0 if it straddles zero)."""
-        if self.contains_zero():
-            return Fraction(0)
-        return min(abs(self.lo), abs(self.hi))
-
 
 def sqrt_bounds(x: Fraction) -> RatInterval:
     """Rational lo <= sqrt(x) <= hi for x >= 0, exact for perfect squares.
@@ -85,13 +71,13 @@ def sqrt_bounds(x: Fraction) -> RatInterval:
     Inexact case: floor/ceiling of sqrt(x) on the 2**-64 grid, so
     hi - lo == 2**-64 and hi*hi > x >= lo*lo.
     """
-    x = Fraction(x)
-    if x < 0:
+    x = x if type(x) is Fraction else Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num < 0:
         raise ValueError("sqrt of a negative rational")
-    num_root = isqrt(x.numerator)
-    den_root = isqrt(x.denominator)
-    if num_root * num_root == x.numerator and den_root * den_root == x.denominator:
+    num_root, den_root = isqrt(num), isqrt(den)
+    if num_root * num_root == num and den_root * den_root == den:
         exact = Fraction(num_root, den_root)
         return RatInterval(exact, exact)
-    root = isqrt((x.numerator << 128) // x.denominator)
+    root = isqrt((num << 128) // den)
     return RatInterval(Fraction(root, 1 << 64), Fraction(root + 1, 1 << 64))

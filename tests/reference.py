@@ -1,8 +1,9 @@
 """Reference code that the tests check the package against and the package
 never runs: the kernel tail bounds, the integer polynomial ring ``IntPoly``
 with its exact evaluation and parity splits, the tracks run on that ring,
-and the cos system's descent identity.  Kept in ``tests/``, the package
-neither ships it nor trusts it."""
+the cos system's descent identity, the ``RatInterval`` helpers the engines
+used to build their bounds with, and those bounds' Fraction forms.  Kept in
+``tests/``, the package neither ships it nor trusts it."""
 
 from enum import Enum
 from fractions import Fraction
@@ -10,8 +11,9 @@ from itertools import islice
 from math import factorial
 from typing import List
 
-from irrcert.enclosure import exp_upper_bound
-from irrcert.exactnum import sqrt_bounds
+from irrcert.certificates import Claim, ClaimKind, EnclosureRecord
+from irrcert.enclosure import Func, enclose, exp_upper_bound
+from irrcert.exactnum import RatInterval, sqrt_bounds
 from irrcert.recurrences import cos_track, exp_track, tan_track
 
 
@@ -198,3 +200,109 @@ def descent_identity_check(n: int, pairs) -> bool:
         if l != (4 * n + 3) * k + shift(j, 1) - (2 * n + 1) * shift(i, 1):
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# RatInterval helpers: the engines read an enclosure's sign and least |x| off
+# its two ends, and enclose(SIN, ...) scales an integer window
+# --------------------------------------------------------------------------
+
+def scale(iv: RatInterval, c: Fraction) -> RatInterval:
+    """Multiply both endpoints by an exact rational."""
+    c = Fraction(c)
+    if c >= 0:
+        return RatInterval(iv.lo * c, iv.hi * c)
+    return RatInterval(iv.hi * c, iv.lo * c)
+
+
+def contains_zero(iv: RatInterval) -> bool:
+    return iv.lo <= 0 <= iv.hi
+
+
+def min_abs(iv: RatInterval) -> Fraction:
+    """Least |x| over the interval (0 if it straddles zero)."""
+    if contains_zero(iv):
+        return Fraction(0)
+    return min(abs(iv.lo), abs(iv.hi))
+
+
+# --------------------------------------------------------------------------
+# the engines' constants as the package built them on Fractions, before it
+# carried them as integer pairs: the squared-trig delegation, each bound's
+# start and step ratio with the enclosure records it rests on, the cos
+# system's weights, hyper and gate, and the cos value window
+# --------------------------------------------------------------------------
+
+_TO_COS = {
+    ClaimKind.SIN_SQ: lambda value: 1 - 2 * value,
+    ClaimKind.COS_SQ: lambda value: 2 * value - 1,
+    ClaimKind.TAN_SQ: lambda value: (1 - value) / (1 + value),
+}
+
+
+def delegate(claim: Claim) -> Claim:
+    """The cos claim at 4s that a squared-trig claim reduces to; any other
+    claim itself."""
+    if claim.kind not in _TO_COS:
+        return claim
+    return Claim(ClaimKind.COS, 4 * claim.arg, _TO_COS[claim.kind](claim.value))
+
+
+def _away_from_zero(fn: Func, arg: Fraction, start_width: Fraction):
+    """The first enclosure of the halving schedule that excludes zero."""
+    for halvings in range(64):
+        iv = enclose(fn, arg, start_width / 2**halvings)
+        if not contains_zero(iv):
+            return iv, EnclosureRecord(fn.value, arg, iv.lo, iv.hi)
+    raise ValueError(f"{fn.value}({arg}) not separable from zero")
+
+
+def _tan_step(r: Fraction) -> Fraction:
+    return Fraction(r.numerator ** 2, 4 * r.denominator)
+
+
+def three_term_bound(claim: Claim, width: Fraction):
+    """(start, ratio, enclosure records) of the bound start * ratio**n / n!
+    of a tan, tan-ratio, pi, pi-squared or exp claim."""
+    t, value = claim.arg, claim.value
+    if claim.kind is ClaimKind.TAN:
+        if t < 0:
+            t, value = -t, -value
+        sin_iv, record = _away_from_zero(Func.SIN, 2 * t, width)
+        return value.denominator * 2 * t / min_abs(sin_iv), _tan_step(2 * t), (record,)
+    if claim.kind is ClaimKind.TAN_RATIO:
+        sinc_iv, record = _away_from_zero(Func.SINC_FROM_S, 4 * t, width)
+        root = sqrt_bounds(t)
+        start = value.denominator * root.hi / (t * min_abs(sinc_iv))
+        return start, Fraction(t.numerator), (record, EnclosureRecord("sqrt", t, *root))
+    if claim.kind is ClaimKind.PI:
+        return value, _tan_step(value), ()
+    if claim.kind is ClaimKind.PI_SQUARED:
+        root = sqrt_bounds(value)
+        return root.hi, Fraction(value.numerator, 4), (EnclosureRecord("sqrt", value, *root),)
+    if claim.kind is ClaimKind.EXP:
+        if t < 0:
+            t, value = -t, 1 / value
+        return value.numerator * t, _tan_step(t), ()
+    raise ValueError(f"{claim.kind} has no three-term bound")
+
+
+def cos_constants(s: Fraction):
+    """(weights, hyper, gate start, gate ratio) of the cos system at s: the
+    weight of the sequence with weight power k is sqrt|s| ** (k + 1), rounded
+    up, and the gate's start is the denominator of s times hyper."""
+    root_hi = sqrt_bounds(abs(s)).hi
+    weights = tuple(root_hi ** (k + 1) for k in range(4))
+    hyper = exp_upper_bound(root_hi) if s < 0 else Fraction(1)
+    a = s.numerator
+    ratio = Fraction(a * a, 4) if a > 0 else Fraction(2 * a * a)
+    return weights, hyper, s.denominator * hyper, ratio
+
+
+def value_window(qu: int, qv: int, window):
+    """(low, high, den) for q (u + v cos r) over the cos window, from three
+    full products."""
+    lo, hi, den = window
+    centre = qu * den
+    low, high = sorted((centre + qv * lo, centre + qv * hi))
+    return low, high, den

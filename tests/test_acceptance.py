@@ -28,7 +28,7 @@ from irrcert.oracle import IntegrandFamily, integrate
 
 from reference import (
     IntPoly, TailKernel, cos_system, descent_identity_check, eval_rational, exp_sequence,
-    pi_sequence, tail_bound, tan_sequence,
+    pi_sequence, scale, tail_bound, tan_sequence,
 )
 
 
@@ -172,7 +172,7 @@ def integral_upper(family: IntegrandFamily, r: Fraction, coeffs: tuple, bound: F
     lo = hi = coeffs[0]
     for c, (fn, arg) in zip(coeffs[1:], terms):
         if c:
-            iv = enclose(fn, arg, width).scale(c)
+            iv = scale(enclose(fn, arg, width), c)
             lo, hi = lo + iv.lo, hi + iv.hi
     return max(abs(lo), abs(hi)), (hi - lo) / 2
 

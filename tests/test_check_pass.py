@@ -300,21 +300,25 @@ DEEP_COS_CLAIM = Claim(ClaimKind.COS, F(14), F(-83, 100))
 @pytest.mark.parametrize("claim", COS_FAMILY_CLAIMS + [DEEP_COS_CLAIM],
                          ids=lambda c: f"{c.kind.value}-{c.arg}-{c.value}")
 def test_cos_series_sums_once_per_search_and_twice_per_check(monkeypatch, claim):
-    # each term step of a series computes one factor f_j; a series that
-    # reaches N terms and never starts over computes N + 1 of them
-    factors, reached = Counter(), Counter()
-    factor, window = enclosure.Series._factor, enclosure.Series.window
+    # each term step of a series computes one factor f_j, and each start
+    # over one more, f_0, with the sum 1 / delta!; a series that reaches N
+    # terms and never starts over computes N + 1 of them
+    factors, reached, starts = Counter(), Counter(), []
+    factorial, window = enclosure.factorial, enclosure.Series.window
 
-    def counted_factor(series, j):
-        factors[series] += 1
-        return factor(series, j)
+    def counted_factorial(m):
+        starts.append(m)
+        return factorial(m)
 
     def counted_window(series, width):
+        before, started = getattr(series, "n", 0), len(starts)
         result = window(series, width)
+        restarted = len(starts) > started
+        factors[series] += 1 + series.n if restarted else series.n - before
         reached[series] = max(reached[series], series.n)
         return result
 
-    monkeypatch.setattr(enclosure.Series, "_factor", counted_factor)
+    monkeypatch.setattr(enclosure, "factorial", counted_factorial)
     monkeypatch.setattr(enclosure.Series, "window", counted_window)
     cert = refute(claim)
     assert factors and all(factors[key] <= reached[key] + 1 for key in factors)

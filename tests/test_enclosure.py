@@ -17,7 +17,7 @@ from irrcert import certificates, enclosure
 from irrcert.certificates import Claim, ClaimKind, InconclusiveError, check_certificate, refute
 from irrcert.enclosure import Func, enclose, even_series, exp_upper_bound
 from irrcert.exactnum import RatInterval
-from reference import TailKernel, tail_bound
+from reference import TailKernel, scale, tail_bound
 
 mpmath.mp.dps = 60
 
@@ -203,7 +203,7 @@ def _reference_enclose(fn: Func, x: Fraction, w: Fraction) -> RatInterval:
         return _reference_even_series(x, 1, w)
     if x == 0:
         return RatInterval.from_point(Fraction(0))
-    return _reference_even_series(x * x, 1, w / abs(x)).scale(x)
+    return scale(_reference_even_series(x * x, 1, w / abs(x)), x)
 
 
 def _assert_matches_reference(fn: Func, x: Fraction, w: Fraction) -> None:
@@ -452,11 +452,12 @@ def _crossing_and_old_cap(claim: Claim):
     )
     if certificates._KINDS[claim.kind].engine is certificates._CosSystem:
         gate = engine.gate
-        prefactor = engine.q * max(engine.weights[0], 1) ** 4 * gate.start
-        m = _reference_dominance_index(gate.ratio, 1 / prefactor)
+        w_0 = Fraction(*engine.weights[certificates.SequenceId.I])
+        prefactor = engine.q * max(w_0, 1) ** 4 * Fraction(*gate.start)
+        m = _reference_dominance_index(Fraction(*gate.ratio), 1 / prefactor)
         return m, 4 * m + 8
     bound = engine.bound
-    m = _reference_dominance_index(bound.ratio, 1 / bound.start)
+    m = _reference_dominance_index(Fraction(*bound.ratio), 1 / Fraction(*bound.start))
     return m, 4 * m + 4
 
 
@@ -586,7 +587,8 @@ class TestSearchEndsWithoutCap:
             # the crossing above carries the prefactor q b >= 1, so read the
             # gate's start times the least weight directly
             engine = certificates._CosSystem(claim, certificates._DEFAULT_TARGET_WIDTH)
-            assert engine.gate.below_one(min(engine.weights))
+            least = min(engine.weights.values(), key=lambda weight: Fraction(*weight))
+            assert engine.gate.below_one(least)
         else:
             assert _crossing_and_old_cap(claim)[0] == 0
         assert refute(claim).n == 0

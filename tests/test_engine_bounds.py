@@ -79,10 +79,10 @@ def test_cos_gate_times_each_weight_is_the_cos_system_bound(s, value):
     engine = _engine(Claim(ClaimKind.COS, s, value))
     gates = _bounds(engine.gate)
     b = s.denominator
-    for k, weight in enumerate(engine.weights):
+    for k, weight in enumerate(engine.weights.values()):
         expected = [b ** (2 * n + 1) * tail_bound(TailKernel.COS_SYSTEM, s, n, k)
                     for n in INDICES]
-        assert [gate * weight for gate in gates] == expected, k
+        assert [gate * F(*weight) for gate in gates] == expected, k
 
 
 @pytest.mark.parametrize("value, square", [(F(227, 23), False), (F(10), False),

@@ -1,5 +1,5 @@
 """Unit tests for rational parsing, intervals and sqrt, and for the reference
-integer polynomials of tests/reference.py."""
+integer polynomials and interval helpers of tests/reference.py."""
 
 from fractions import Fraction
 
@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from irrcert.exactnum import RatInterval, format_rational, parse_rational, sqrt_bounds
 
 from reference import (
-    DegreeBoundError, IntPoly, eval_rational, eval_scaled_integer,
-    even_part_in_square, odd_part_in_square, shift,
+    DegreeBoundError, IntPoly, contains_zero, eval_rational, eval_scaled_integer,
+    even_part_in_square, min_abs, odd_part_in_square, scale, shift,
 )
 
 rationals = st.fractions(
@@ -117,18 +117,18 @@ class TestRatInterval:
 
     def test_accessors(self):
         iv = RatInterval(Fraction(-1, 2), Fraction(3, 2))
-        assert iv.contains_zero()
-        assert iv.min_abs() == 0
+        assert contains_zero(iv)
+        assert min_abs(iv) == 0
 
     def test_min_abs_sign_cases(self):
-        assert RatInterval(Fraction(1, 3), Fraction(2)).min_abs() == Fraction(1, 3)
-        assert RatInterval(Fraction(-2), Fraction(-1, 3)).min_abs() == Fraction(1, 3)
+        assert min_abs(RatInterval(Fraction(1, 3), Fraction(2))) == Fraction(1, 3)
+        assert min_abs(RatInterval(Fraction(-2), Fraction(-1, 3))) == Fraction(1, 3)
 
     @given(rationals, rationals, rationals)
     def test_scale(self, a1, a2, c):
         iv = RatInterval(min(a1, a2), max(a1, a2))
         x = (iv.lo + iv.hi) / 2
-        scaled = iv.scale(c)
+        scaled = scale(iv, c)
         assert scaled.lo <= c * x <= scaled.hi
 
     def test_from_point(self):

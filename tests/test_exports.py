@@ -65,6 +65,7 @@ def test_a_building_block_takes_its_arguments_directly(module, function, paramet
 MOVED_TO_THE_TESTS = {
     "enclosure": ("TailKernel", "tail_bound"),
     "exactnum": ("DegreeBoundError", "IntPoly"),
+    "exactnum.RatInterval": ("contains_zero", "min_abs", "scale"),
     "oracle": ("clear_cache",),
     "recurrences": ("cos_system", "descent_identity_check", "exp_sequence", "pi_sequence",
                     "tan_sequence"),
@@ -152,6 +153,30 @@ def test_importing_leaves_dataclasses_and_inspect_unloaded(module):
     assert f"'{module}'" in loaded
     assert "'dataclasses'" not in loaded
     assert "'inspect'" not in loaded
+
+
+# the standard library modules that src/ imports; cli adds argparse
+ALLOWED_IMPORTS = "__future__, argparse, enum, fractions, functools, itertools, json, math, typing"
+
+
+def _loaded_by(statement: str) -> set:
+    """The modules in sys.modules after statement, in a fresh python -S."""
+    src = Path(irrcert.__file__).resolve().parent.parent
+    code = f"import sys; sys.path.insert(0, {str(src)!r}); {statement}; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    return set(ast.literal_eval(out))
+
+
+@pytest.mark.parametrize("module", ["irrcert", "irrcert.cli"])
+def test_importing_loads_nothing_past_the_standard_library_it_names(module):
+    # import time is the benchmark's setup_s; a module that one of these does
+    # not load already is a cost every refute and verify would pay
+    allowed = _loaded_by(f"import {ALLOWED_IMPORTS}")
+    extra = _loaded_by(f"import {module}") - allowed
+    assert module in extra
+    assert sorted(name for name in extra if name.split(".")[0] != "irrcert") == []
 
 
 def test_every_exported_name_is_an_attribute():

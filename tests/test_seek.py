@@ -26,6 +26,15 @@ def F(*args):
     return Fraction(*args)
 
 
+def _pair(x):
+    return x.numerator, x.denominator
+
+
+def _least(weights):
+    """The least of the cos system's weights, compared as Fractions."""
+    return min(weights.values(), key=lambda weight: F(*weight))
+
+
 def _indices(n_cap):
     return count() if n_cap is None else range(n_cap + 1)
 
@@ -46,15 +55,15 @@ def _canonical_attempt(engine, u, v):
 
 def _stepped_cos(engine, n_cap):
     p, q, gate, weights = engine.p, engine.q, engine.gate, engine.weights
-    least = min(weights)
+    least = _least(weights)
     tracks = certificates.cos_track(engine.s.numerator, engine.s.denominator)
     for n in _indices(n_cap):
         if n:
             gate.step()
         pairs = next(tracks)
         open_ = gate.below_one(least)
-        for seq_id, weight, (u, v) in zip(certificates.SequenceId, weights, pairs):
-            if open_ and gate.below_one(weight):
+        for seq_id, (u, v) in zip(certificates.SequenceId, pairs):
+            if open_ and gate.below_one(weights[seq_id]):
                 yield n, seq_id, q * u + p * v, True, partial(_canonical_attempt, engine, u, v)
             else:
                 yield n, seq_id, None, False, None
@@ -116,7 +125,7 @@ EXTRA_CLAIMS = START_BELOW_ONE_CLAIMS + (
 
 def test_the_reopening_gate_is_covered():
     engine = _engine(GATE_REOPENS)
-    gate, least = engine.gate, min(engine.weights)
+    gate, least = engine.gate, _least(engine.weights)
     below = []
     for n in range(6):
         if n:
@@ -175,7 +184,7 @@ def test_every_cap_gives_the_stepped_outcome(claim):
 # -- the closed-form crossing ----------------------------------------------
 
 def _stepped_pairs(start, ratio, last):
-    decay = certificates._Decay(start, ratio)
+    decay = certificates._Decay(_pair(start), _pair(ratio))
     pairs = [(decay.num, decay.den)]
     while decay.n < last:
         decay.step()
@@ -196,10 +205,10 @@ def _check_seek(start, ratio, weight, limit_offset):
         return
     limit = origin + limit_offset
     expected = next((m for m in range(origin + 1, limit + 1) if below(m)), limit)
-    decay = certificates._Decay(start, ratio)
+    decay = certificates._Decay(_pair(start), _pair(ratio))
     while decay.n < origin:
         decay.step()
-    decay.seek(weight, limit)
+    decay.seek(_pair(weight), limit)
     assert decay.n == expected
     assert (decay.num, decay.den) == pairs[expected]
 
@@ -299,7 +308,7 @@ def test_three_term_search_draws_only_slots_past_the_crossing(monkeypatch):
 
 def test_deep_cos_search_starts_at_the_least_weight_crossing(monkeypatch):
     engine = _engine(DEEP_COS_CLAIM)
-    gate, least = engine.gate, min(engine.weights)
+    gate, least = engine.gate, _least(engine.weights)
     while not gate.below_one(least):
         gate.step()
     crossing = gate.n
