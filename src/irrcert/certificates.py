@@ -184,13 +184,11 @@ class InconclusiveError(RefutationError):
         super().__init__(f"no certificate up to n={last_n} (largest bound seen: {shown})")
 
 
-def _enclosure_away_from_zero(
-    fn: Func, arg: Fraction, start_width: Fraction
-) -> Tuple[Tuple[int, int], EnclosureRecord]:
-    """Deterministic zero-excluding enclosure: halve the width until the
-    interval no longer straddles zero.  Returns the least |x| over it as a
-    (num, den) pair, and its record."""
-    num, den = start_width.numerator, start_width.denominator
+def _enclosure_away_from_zero(fn: Func, arg: Fraction) -> Tuple[Tuple[int, int], EnclosureRecord]:
+    """Deterministic zero-excluding enclosure: halve the width from the
+    default until the interval no longer straddles zero.  Returns the least
+    |x| over it as a (num, den) pair, and its record."""
+    num, den = _DEFAULT_TARGET_WIDTH.numerator, _DEFAULT_TARGET_WIDTH.denominator
     for halvings in range(_MAX_ZERO_EXCLUSION_HALVINGS):
         width = Fraction(num, den << halvings)
         lo, hi = enclose(fn, arg, width)
@@ -347,19 +345,31 @@ def _visits(
 # ``settles(sequence)``, asked while the stream is at a candidate slot, is
 # True only if that slot's attempt must succeed, so that the search ends
 # there at the latest.
+# Constructing an engine reads the claim's integers alone and raises the
+# errors of a degenerate claim; ``build()``, which ``stream`` calls first,
+# makes the enclosures, series and bounds.  Before that, ``rise`` is
+# floor(ratio), the peak of a bound start * ratio**n / n! whose start (times
+# the least weight) the claim alone shows to be at least 1, so that no slot
+# up to it is a candidate; it is -1 where the claim does not show that.
 # --------------------------------------------------------------------------
 
 class _ThreeTerm:
     """One claim on a three-term engine: the integer the claim forces at
     each index, the bound on it, and the enclosures the certificate records.
-    Its attempts always succeed."""
+    Its attempts always succeed.  ``start()`` gives the bound's start as a
+    (num, den) pair and the enclosures it rests on."""
 
-    def __init__(
-        self, witnesses: Iterator[int], bound: _Decay, enclosures: Tuple[EnclosureRecord, ...]
-    ):
-        self.witnesses, self.bound, self.enclosures = witnesses, bound, enclosures
+    def __init__(self, witnesses: Iterator[int], ratio: Tuple[int, int], start_at_least_one: bool,
+                 start: Callable[[], Tuple[Tuple[int, int], Tuple[EnclosureRecord, ...]]]):
+        self.witnesses, self.ratio, self._start = witnesses, ratio, start
+        self.rise = ratio[0] // ratio[1] if start_at_least_one else -1
+
+    def build(self) -> None:
+        start, self.enclosures = self._start()
+        self.bound = _Decay(start, self.ratio)
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
+        self.build()
         accept = self._accept
         for n, below, witness in _visits(self.bound, (1, 1), self.witnesses, n_cap):
             yield n, None, witness, below, accept
@@ -389,14 +399,7 @@ def _tan_step(a: int, b: int) -> Tuple[int, int]:
     return a * a, 4 * b
 
 
-def _tan_rise(claim: Claim) -> int:
-    """floor(ratio): |sin r| <= |r| makes the start at least q."""
-    r = Fraction(2 * claim.arg.numerator, claim.arg.denominator)
-    num, den = _tan_step(r.numerator, r.denominator)
-    return num // den if r else -1
-
-
-def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
+def _tan_engine(claim: Claim) -> _ThreeTerm:
     a, b = claim.arg.numerator, claim.arg.denominator
     if a == 0:
         raise DegenerateClaimError("tan claim requires a nonzero argument")
@@ -404,13 +407,14 @@ def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
     if a < 0:  # tan is odd
         a, p = -a, -p
     r = Fraction(2 * a, b)
-    (sin_num, sin_den), sin_record = _enclosure_away_from_zero(Func.SIN, r, width)
     rn, rd = r.numerator, r.denominator
-    return _ThreeTerm(
-        tan_track(rn, rd, p, q),
-        _Decay((q * rn * sin_den, rd * sin_num), _tan_step(rn, rd)),  # q r / min |sin r|
-        (sin_record,),
-    )
+
+    def start():
+        (sin_num, sin_den), sin_record = _enclosure_away_from_zero(Func.SIN, r)
+        return (q * rn * sin_den, rd * sin_num), (sin_record,)  # q r / min |sin r|
+
+    # |sin r| <= |r| makes the start at least q
+    return _ThreeTerm(tan_track(rn, rd, p, q), _tan_step(rn, rd), True, start)
 
 
 # --------------------------------------------------------------------------
@@ -419,18 +423,12 @@ def _tan_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # B_n = b**n (a/b) ((a/b)**2/4)**n / n! — an integer in (0, 1) once B_n < 1.
 # --------------------------------------------------------------------------
 
-def _pi_rise(claim: Claim) -> int:
-    """floor(ratio) once the start, the claimed value, is at least 1."""
-    a, b = claim.value.numerator, claim.value.denominator
-    num, den = _tan_step(a, b)
-    return num // den if a >= b else -1
-
-
-def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
+def _pi_engine(claim: Claim) -> _ThreeTerm:
     a, b = claim.value.numerator, claim.value.denominator
     if a <= 0:
         raise DegenerateClaimError("claimed value of pi must be positive")
-    return _ThreeTerm(tan_track(a, b, 2, 0), _Decay((a, b), _tan_step(a, b)), ())
+    # the start, the claimed value, is at least 1 once a >= b
+    return _ThreeTerm(tan_track(a, b, 2, 0), _tan_step(a, b), a >= b, lambda: ((a, b), ()))
 
 
 # --------------------------------------------------------------------------
@@ -440,19 +438,17 @@ def _pi_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # the sqrt over-approximation goes into the transcript.
 # --------------------------------------------------------------------------
 
-def _pi_squared_rise(claim: Claim) -> int:
-    """floor(ratio), the claimed value a/b over 4, once a >= b: the start,
-    an upper bound on its square root, is then at least 1."""
-    a, b = claim.value.numerator, claim.value.denominator
-    return a // 4 if a >= b else -1
-
-
-def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
+def _pi_squared_engine(claim: Claim) -> _ThreeTerm:
     a, b = claim.value.numerator, claim.value.denominator
     if a <= 0:
         raise DegenerateClaimError("claimed value of pi**2 must be positive")
-    root, record = _sqrt_record(claim.value)
-    return _ThreeTerm(pi_squared_track(a, b), _Decay(root, (a, 4)), (record,))
+
+    def start():
+        root, record = _sqrt_record(claim.value)
+        return root, (record,)
+
+    # the start, an upper bound on sqrt(a/b), is at least 1 once a >= b
+    return _ThreeTerm(pi_squared_track(a, b), (a, 4), a >= b, start)
 
 
 # --------------------------------------------------------------------------
@@ -463,9 +459,7 @@ def _pi_squared_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # conditional, exact, and rational.
 # --------------------------------------------------------------------------
 
-def _exp_point(claim: Claim) -> Tuple[int, int, int, int]:
-    """(a, b, p, q): the exponent a/b > 0 and the value p/q of the claim,
-    normalized."""
+def _exp_engine(claim: Claim) -> _ThreeTerm:
     a, b = claim.arg.numerator, claim.arg.denominator
     if a == 0:
         raise DegenerateClaimError("exp claim requires a nonzero exponent")
@@ -474,20 +468,9 @@ def _exp_point(claim: Claim) -> Tuple[int, int, int, int]:
         raise DegenerateClaimError("claimed value of an exponential must be positive")
     if a < 0:
         a, p, q = -a, q, p
-    return a, b, p, q
-
-
-def _exp_rise(claim: Claim) -> int:
-    """floor(ratio) once the start p a / b is at least 1.  A degenerate claim
-    raises the engine's own error, so the checker's reason is unchanged."""
-    a, b, p, _ = _exp_point(claim)
-    num, den = _tan_step(a, b)
-    return num // den if p * a >= b else -1
-
-
-def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
-    a, b, p, q = _exp_point(claim)
-    return _ThreeTerm(exp_track(a, b, q, p), _Decay((p * a, b), _tan_step(a, b)), ())
+    # the start p a / b is at least 1 once p a >= b
+    return _ThreeTerm(exp_track(a, b, q, p), _tan_step(a, b), p * a >= b,
+                      lambda: ((p * a, b), ()))
 
 
 # --------------------------------------------------------------------------
@@ -499,30 +482,24 @@ def _exp_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # the bound is q sqrt(s) a**n / (s sinc(4s) n!).
 # --------------------------------------------------------------------------
 
-def _tan_ratio_rise(claim: Claim) -> int:
-    """floor(ratio) = a: |sinc(4s)| <= 1 / (2 sqrt s) makes the start at
-    least 2q."""
-    a = claim.arg.numerator
-    return a if a > 0 else -1
-
-
-def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
+def _tan_ratio_engine(claim: Claim) -> _ThreeTerm:
     s = claim.arg
     a, b = s.numerator, s.denominator
     if a == 0:
         raise DegenerateClaimError("tan-ratio claim requires a nonzero squared argument")
     if a < 0:
         raise NegativeSquareUnsupportedError("tan-ratio claims with s < 0 are unsupported")
-    (sinc_num, sinc_den), sinc_record = _enclosure_away_from_zero(
-        Func.SINC_FROM_S, Fraction(4 * a, b), width)
-    (root_num, root_den), sqrt_rec = _sqrt_record(s)
     p, q = claim.value.numerator, claim.value.denominator
-    return _ThreeTerm(
-        tan_ratio_track(a, b, p, 2 * q),
+
+    def start():
+        (sinc_num, sinc_den), sinc_record = _enclosure_away_from_zero(
+            Func.SINC_FROM_S, Fraction(4 * a, b))
+        (root_num, root_den), sqrt_rec = _sqrt_record(s)
         # q sqrt(s) / (s min |sinc(4s)|), with sqrt(s) rounded up
-        _Decay((q * root_num * b * sinc_den, root_den * a * sinc_num), (a, 1)),
-        (sinc_record, sqrt_rec),
-    )
+        return (q * root_num * b * sinc_den, root_den * a * sinc_num), (sinc_record, sqrt_rec)
+
+    # |sinc(4s)| <= 1 / (2 sqrt s) makes the start at least 2q
+    return _ThreeTerm(tan_ratio_track(a, b, p, 2 * q), (a, 1), True, start)
 
 
 # --------------------------------------------------------------------------
@@ -532,34 +509,27 @@ def _tan_ratio_engine(claim: Claim, width: Fraction) -> _ThreeTerm:
 # claim; enclosing cos r from s makes the true value's window exact.
 # --------------------------------------------------------------------------
 
-def _cos_step(s: Fraction) -> Tuple[int, int]:
-    """The gate's step ratio as (num, den): a**2 / 4 for s = a/b > 0, and
-    2 a**2 for s < 0."""
-    a = s.numerator
-    return (a * a, 4) if a > 0 else (2 * a * a, 1)
-
-
-def _cos_rise(claim: Claim) -> int:
-    """floor(ratio) once a**2 >= b, for s = a/b: the gate's start b * hyper
-    times the least weight, sqrt|s| or s**2 rounded up, is then at least
-    sqrt(|a| b) or a**2 / b, and so at least 1."""
-    s = claim.arg
-    num, den = _cos_step(s)
-    return num // den if s.numerator ** 2 >= s.denominator else -1
-
-
 class _CosSystem:
     """One cos claim on the I/J/K/L system: at each index the four sequences
     in order, each attempted once its decay gate times its weight is below 1,
     so the certificate's n sits past the tail crossing."""
 
-    def __init__(self, claim: Claim, width: Fraction):
+    def __init__(self, claim: Claim):
         s = claim.arg
         a, b = s.numerator, s.denominator
         if a == 0:
             raise DegenerateClaimError("cos claim requires a nonzero squared argument")
         self.p, self.q = claim.value.numerator, claim.value.denominator
-        self.s, self.width = s, width
+        self.s, self.width = s, _DEFAULT_TARGET_WIDTH
+        # the gate's step ratio: a**2 / 4 for s > 0, and 2 a**2 for s < 0
+        self.ratio = (a * a, 4) if a > 0 else (2 * a * a, 1)
+        # once a**2 >= b, the gate's start b * hyper times the least weight,
+        # sqrt|s| or s**2 rounded up, is at least sqrt(|a| b) or a**2 / b
+        self.rise = self.ratio[0] // self.ratio[1] if a * a >= b else -1
+
+    def build(self) -> None:
+        s = self.s
+        a, b = s.numerator, s.denominator
         self.cos = even_series(s, 0)
         self.last = None  # the last (lo, hi, den) the series returned
         root = sqrt_bounds(Fraction(abs(a), b)).hi
@@ -574,9 +544,10 @@ class _CosSystem:
         self.least, self.largest = ends if root_num >= root_den else ends[::-1]
         hyper = exp_upper_bound(root) if a < 0 else Fraction(1)
         # the gate is b**(2n+1) * tail bound without the weight factor
-        self.gate = _Decay((b * hyper.numerator, hyper.denominator), _cos_step(s))
+        self.gate = _Decay((b * hyper.numerator, hyper.denominator), self.ratio)
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
+        self.build()
         p, q, gate, weights = self.p, self.q, self.gate, self.weights.items()
         tracks = cos_track(self.s.numerator, self.s.denominator)
         # no gate is below 1 while the one with the least weight is not
@@ -663,13 +634,8 @@ class _Kind(NamedTuple):
     """What the kind table knows of a claim kind before seeing a claim."""
 
     mode: RefutationMode
-    engine: Callable[[Claim, Fraction], _Engine]
+    engine: Callable[[Claim], _Engine]
     arg: Optional[str]  # the argument: "t", "s" = t**2, or None
-    # the engine claim mapped to floor(ratio), the peak of a bound
-    # start * ratio**n / n! whose start (times the least weight) is at least
-    # 1, so that no slot up to it is a candidate; -1 where that is not known.
-    # It reads the claim alone, before any enclosure is built
-    rise: Callable[[Claim], int]
     # squared-trig kinds only: the claimed value p, q mapped to cos 2r as (num, den)
     to_cos: Optional[Callable[[int, int], Tuple[int, int]]] = None
 
@@ -677,15 +643,15 @@ class _Kind(NamedTuple):
 _NONZERO, _POSITIVE = RefutationMode.NONZERO_SQUEEZE, RefutationMode.POSITIVE_SQUEEZE
 
 _KINDS = {
-    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t", _tan_rise),
-    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s", _tan_ratio_rise),
-    ClaimKind.PI: _Kind(_POSITIVE, _pi_engine, None, _pi_rise),
-    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None, _pi_squared_rise),
-    ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t", _exp_rise),
-    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s", _cos_rise),
-    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda p, q: (q - 2 * p, q)),
-    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, lambda p, q: (2 * p - q, q)),
-    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _cos_rise, _tan_sq_to_cos),
+    ClaimKind.TAN: _Kind(_NONZERO, _tan_engine, "t"),
+    ClaimKind.TAN_RATIO: _Kind(_NONZERO, _tan_ratio_engine, "s"),
+    ClaimKind.PI: _Kind(_POSITIVE, _pi_engine, None),
+    ClaimKind.PI_SQUARED: _Kind(_POSITIVE, _pi_squared_engine, None),
+    ClaimKind.EXP: _Kind(_POSITIVE, _exp_engine, "t"),
+    ClaimKind.COS: _Kind(_NONZERO, _CosSystem, "s"),
+    ClaimKind.SIN_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda p, q: (q - 2 * p, q)),
+    ClaimKind.COS_SQ: _Kind(_NONZERO, _CosSystem, "s", lambda p, q: (2 * p - q, q)),
+    ClaimKind.TAN_SQ: _Kind(_NONZERO, _CosSystem, "s", _tan_sq_to_cos),
 }
 
 
@@ -714,7 +680,7 @@ def refute(claim: Claim, n_cap: Optional[int] = None) -> Certificate:
     every search ends"); reaching a given n_cap raises InconclusiveError."""
     engine_claim, transform = _delegate(claim)
     kind = _KINDS[claim.kind]
-    engine = kind.engine(engine_claim, _DEFAULT_TARGET_WIDTH)
+    engine = kind.engine(engine_claim)
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     for n, sequence, witness, below, attempt in engine.stream(n_cap):
         if below and (positive or witness != 0):
@@ -809,13 +775,14 @@ def check_certificate(cert: Certificate) -> CheckResult:
     certificate is the canonical search result for its claim.
 
     An index well below the bound's peak, where no slot is a candidate, is
-    rejected before the engine is built.  One pass of the claim's stream
-    re-derives the fields at the certificate's own (n, sequence), stops
-    where the search must have ended, and tries the attempts of the earlier
-    candidates, each full list of ``_MAX_KEPT_ATTEMPTS`` as it fills and the
-    rest at the end.  The search stops at the first candidate whose attempt
-    succeeds, so once the own fields reproduce, the certificate is canonical
-    exactly when every earlier attempt fails; the search is never rerun.
+    rejected before the engine builds its enclosures.  One pass of the
+    claim's stream re-derives the fields at the certificate's own
+    (n, sequence), stops where the search must have ended, and tries the
+    attempts of the earlier candidates, each full list of
+    ``_MAX_KEPT_ATTEMPTS`` as it fills and the rest at the end.  The search
+    stops at the first candidate whose attempt succeeds, so once the own
+    fields reproduce, the certificate is canonical exactly when every
+    earlier attempt fails; the search is never rerun.
     """
     problem = _check_structure(cert)
     if problem is not None:
@@ -825,16 +792,17 @@ def check_certificate(cert: Certificate) -> CheckResult:
         claim, transform = _delegate(cert.claim)
         if cert.transform != transform:
             return CheckResult(False, "transform mismatch")
+        engine = kind.engine(claim)
         # no slot up to the bound's peak is a candidate; checked before the
-        # engine builds its enclosures, with the slack of one index that
+        # stream builds the enclosures, with the slack of one index that
         # keeps the reason of an n - 1 mutant
-        first = kind.rise(claim) + 1
+        first = engine.rise + 1
         if cert.n + 1 < first:
             return CheckResult(False, f"index before the start of the search at n={first}")
-        engine = kind.engine(claim, _DEFAULT_TARGET_WIDTH)
+        # building the enclosures as the stream starts may fail too
+        problem = _check_pass(cert, kind, engine)
     except RefutationError as exc:
         return CheckResult(False, f"claim rejected on replay: {exc}")
-    problem = _check_pass(cert, kind, engine)
     return CheckResult(problem is None, problem)
 
 

@@ -110,8 +110,17 @@ OUT_OF_BRACKET = {
 OUT_OF_BRACKET.update(
     (f"cos_s_{name}", partial(forged_claim_text, Claim(ClaimKind.COS, Fraction(1), Fraction(1, 2)),
                               "arg", "1/1", arg, size, 20000))
-    for name, arg, size in (("999_1000", "999/1000", 365), ("minus_999_1000", "-999/1000", 366))
+    for name, arg, size in (("999_1000", "999/1000", 365), ("minus_999_1000", "-999/1000", 366),
+                            ("1e14", "100000000000000/1", 374),
+                            ("minus_1e14", "-100000000000000/1", 375))
 )
+# these two at s = +-10**14 and the tan-ratio one below fence the build that
+# the stream starts: an engine that built its series and bounds when it was
+# constructed would sum millions of cos or sinc terms, and the cosh bound at
+# s = -10**14 would not end
+OUT_OF_BRACKET["tan_ratio_huge_argument"] = partial(
+    forged_claim_text, Claim(ClaimKind.TAN_RATIO, Fraction(1), Fraction(14, 9)),
+    "arg", "1/1", "100000000000000/1", 418, 20000)
 OUT_OF_BRACKET.update(
     (f"pi_22_7_n_1e{e}", partial(forged_index_text, PI_22_7, lambda n, e=e: 10**e))
     for e in (4, 5, 6)

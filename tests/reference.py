@@ -306,3 +306,101 @@ def value_window(qu: int, qv: int, window):
     centre = qu * den
     low, high = sorted((centre + qv * lo, centre + qv * hi))
     return low, high, den
+
+
+# --------------------------------------------------------------------------
+# the checker's lower index as the kind table gave it, one function per kind,
+# before each engine gave its own ``rise``: floor(ratio) where the claim alone
+# shows the bound's start (times the cos system's least weight) to be at
+# least 1, else -1.  Each reads the claim an engine runs on
+# --------------------------------------------------------------------------
+
+def _kernel_step(a: int, b: int):
+    return a * a, 4 * b
+
+
+def _tan_rise(claim: Claim) -> int:
+    """floor(ratio): |sin r| <= |r| makes the start at least q."""
+    r = Fraction(2 * claim.arg.numerator, claim.arg.denominator)
+    num, den = _kernel_step(r.numerator, r.denominator)
+    return num // den if r else -1
+
+
+def _pi_rise(claim: Claim) -> int:
+    """floor(ratio) once the start, the claimed value, is at least 1."""
+    a, b = claim.value.numerator, claim.value.denominator
+    num, den = _kernel_step(a, b)
+    return num // den if a >= b else -1
+
+
+def _pi_squared_rise(claim: Claim) -> int:
+    """floor(ratio), the claimed value a/b over 4, once a >= b: the start,
+    an upper bound on its square root, is then at least 1."""
+    a, b = claim.value.numerator, claim.value.denominator
+    return a // 4 if a >= b else -1
+
+
+def _exp_rise(claim: Claim) -> int:
+    """floor(ratio) once the start p a / b is at least 1, for the exponent
+    a/b > 0 and the value p/q after e**-r = 1/e**r."""
+    a, b = claim.arg.numerator, claim.arg.denominator
+    p, q = claim.value.numerator, claim.value.denominator
+    if a < 0:
+        a, p, q = -a, q, p
+    num, den = _kernel_step(a, b)
+    return num // den if p * a >= b else -1
+
+
+def _tan_ratio_rise(claim: Claim) -> int:
+    """floor(ratio) = a: |sinc(4s)| <= 1 / (2 sqrt s) makes the start at
+    least 2q."""
+    a = claim.arg.numerator
+    return a if a > 0 else -1
+
+
+def _cos_rise(claim: Claim) -> int:
+    """floor(ratio) once a**2 >= b, for s = a/b: the gate's start b * hyper
+    times the least weight, sqrt|s| or s**2 rounded up, is then at least
+    sqrt(|a| b) or a**2 / b, and so at least 1."""
+    a, b = claim.arg.numerator, claim.arg.denominator
+    num, den = (a * a, 4) if a > 0 else (2 * a * a, 1)
+    return num // den if a * a >= b else -1
+
+
+_RISES = {
+    ClaimKind.TAN: _tan_rise,
+    ClaimKind.TAN_RATIO: _tan_ratio_rise,
+    ClaimKind.PI: _pi_rise,
+    ClaimKind.PI_SQUARED: _pi_squared_rise,
+    ClaimKind.EXP: _exp_rise,
+    ClaimKind.COS: _cos_rise,
+}
+
+
+def rise(claim: Claim) -> int:
+    """The lower index of a claim that an engine runs on (a squared-trig
+    claim's delegated cos claim)."""
+    return _RISES[claim.kind](claim)
+
+
+def refusal(claim: Claim):
+    """(error class name, message) with which an engine refuses a degenerate
+    claim it runs on, or None."""
+    arg, value = claim.arg, claim.value
+    if claim.kind is ClaimKind.TAN and arg == 0:
+        return "DegenerateClaimError", "tan claim requires a nonzero argument"
+    if claim.kind is ClaimKind.TAN_RATIO and arg == 0:
+        return "DegenerateClaimError", "tan-ratio claim requires a nonzero squared argument"
+    if claim.kind is ClaimKind.TAN_RATIO and arg < 0:
+        return "NegativeSquareUnsupportedError", "tan-ratio claims with s < 0 are unsupported"
+    if claim.kind is ClaimKind.PI and value <= 0:
+        return "DegenerateClaimError", "claimed value of pi must be positive"
+    if claim.kind is ClaimKind.PI_SQUARED and value <= 0:
+        return "DegenerateClaimError", "claimed value of pi**2 must be positive"
+    if claim.kind is ClaimKind.EXP and arg == 0:
+        return "DegenerateClaimError", "exp claim requires a nonzero exponent"
+    if claim.kind is ClaimKind.EXP and value <= 0:
+        return "DegenerateClaimError", "claimed value of an exponential must be positive"
+    if claim.kind is ClaimKind.COS and arg == 0:
+        return "DegenerateClaimError", "cos claim requires a nonzero squared argument"
+    return None

@@ -311,14 +311,16 @@ class TestChecker:
         # at (n=1, J) the cos engine's local conditions all hold for the
         # claim cos 1 = 1/2, but the canonical search picks (1, I); a
         # record-replay-only checker would wave this certificate through
-        from irrcert.certificates import _DEFAULT_TARGET_WIDTH, _CosSystem
+        from irrcert.certificates import _CosSystem
 
         claim = Claim(ClaimKind.COS, F(1), F(1, 2))
         cert = refute(claim)
         _, (ju, jv), _, _ = cos_system(1)[1]
         witness = 2 * eval_scaled_integer(ju, 1, 1, 3) + 1 * eval_scaled_integer(jv, 1, 1, 3)
         assert witness == -10
-        accepted = _CosSystem(claim, _DEFAULT_TARGET_WIDTH)._attempt(
+        engine = _CosSystem(claim)
+        engine.build()
+        accepted = engine._attempt(
             eval_scaled_integer(ju, 1, 1, 3),
             eval_scaled_integer(jv, 1, 1, 3),
         )

@@ -142,6 +142,29 @@ def test_huge_argument_is_rejected_before_the_engine_builds(monkeypatch):
         False, f"index before the start of the search at n={10**14 + 1}")
 
 
+# the claims of test_certificates.py's TestZeroExclusionFailure, at an index
+# past the lower index of each: the enclosure that fails is built as the
+# check pass starts the stream, and the failure is still the claim's reason
+ZERO_EXCLUSION_C = F(3295067114621516485591085556500, 1048852438223126443433921604719)
+
+
+@pytest.mark.parametrize("claim, n, fn, arg", [
+    (Claim(ClaimKind.TAN, ZERO_EXCLUSION_C / 2, F(1)), 10**31, "sin", ZERO_EXCLUSION_C),
+    (Claim(ClaimKind.TAN_RATIO, (ZERO_EXCLUSION_C / 2) ** 2, F(1)), 10**61,
+     "sinc_from_s", ZERO_EXCLUSION_C ** 2),
+], ids=["tan", "tan_ratio"])
+def test_an_enclosure_that_fails_in_the_pass_is_the_replay_reason(claim, n, fn, arg):
+    cert = certificates.Certificate(claim, n, None, certificates.RefutationMode.NONZERO_SQUEEZE,
+                                    1, F(1, 2), (), None)
+    assert n >= certificates._KINDS[claim.kind].engine(claim).rise
+    start = time.perf_counter()
+    result = check_certificate(cert)
+    assert time.perf_counter() - start < 1
+    assert (result.ok, result.reason) == (False, (
+        f"claim rejected on replay: {fn}({arg}) not separable from zero at width "
+        "1/170141183460469231731687303715884105728"))
+
+
 @pytest.mark.parametrize("claim, degenerate, reason", [
     (Claim(ClaimKind.EXP, F(1), F(3)), Claim(ClaimKind.EXP, F(0), F(3)),
      "exp claim requires a nonzero exponent"),
@@ -167,7 +190,7 @@ def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):
     # kept by the check pass, can reject it
     claim = Claim(ClaimKind.COS, F(1), F(1, 2))
     cert = refute(claim)
-    engine = certificates._CosSystem(claim, certificates._DEFAULT_TARGET_WIDTH)
+    engine = certificates._CosSystem(claim)
     for n, sequence, witness, _below, attempt in engine.stream(1):
         if (n, sequence) == (1, SequenceId.J):
             bound, enclosures = attempt()
@@ -218,7 +241,7 @@ def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
         monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", kept)
     cert = refute(claim)
     engine_claim, _ = certificates._delegate(claim)
-    engine = certificates._CosSystem(engine_claim, certificates._DEFAULT_TARGET_WIDTH)
+    engine = certificates._CosSystem(engine_claim)
     forged_count = 0
     for n, sequence, witness, _below, attempt in engine.stream(cert.n):
         if attempt is None:
@@ -260,7 +283,7 @@ def test_full_kept_list_is_tried_at_once_and_not_after_a_success(monkeypatch):
     # is drawn, and none after the canonical (12, I) succeeds
     cert = refute(SIN_SQ_CLAIM)
     engine_claim, _ = certificates._delegate(SIN_SQ_CLAIM)
-    engine = certificates._CosSystem(engine_claim, certificates._DEFAULT_TARGET_WIDTH)
+    engine = certificates._CosSystem(engine_claim)
     for n, sequence, witness, _below, attempt in engine.stream(14):
         if (n, sequence) == (14, SequenceId.L):
             bound, enclosures = attempt()

@@ -313,7 +313,10 @@ def _reference_attempt(s: Fraction, q: int, u: int, v: int, start_width: Fractio
 
 
 def _cos_engine(s: Fraction, q: int, start_width: Fraction):
-    return certificates._CosSystem(Claim(ClaimKind.COS, s, Fraction(1, q)), start_width)
+    engine = certificates._CosSystem(Claim(ClaimKind.COS, s, Fraction(1, q)))
+    engine.width = start_width
+    engine.build()
+    return engine
 
 
 def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: Fraction):
@@ -447,9 +450,8 @@ def _crossing_and_old_cap(claim: Claim):
     bounds every open slot's value); cap is the search cap that refute used
     to derive from m when given none."""
     delegated, _ = certificates._delegate(claim)
-    engine = certificates._KINDS[claim.kind].engine(
-        delegated, certificates._DEFAULT_TARGET_WIDTH
-    )
+    engine = certificates._KINDS[claim.kind].engine(delegated)
+    engine.build()
     if certificates._KINDS[claim.kind].engine is certificates._CosSystem:
         gate = engine.gate
         w_0 = Fraction(*engine.weights[certificates.SequenceId.I])
@@ -487,22 +489,21 @@ def _assert_search_ends_by_itself(claim: Claim) -> None:
 
 
 def _assert_bracket(claim: Claim, cert) -> None:
-    """The checker's bracket on n holds: no slot up to the kind's rise index
-    is a candidate, every candidate whose engine says it settles has an
-    attempt that succeeds, and the canonical n is at most the first of them.
-    Below the rise index, the pre-build check only takes over a rejection
-    the check pass would make."""
+    """The checker's bracket on n holds: no slot up to the engine's rise
+    index is a candidate, every candidate whose engine says it settles has
+    an attempt that succeeds, and the canonical n is at most the first of
+    them.  Below the rise index, the pre-build check only takes over a
+    rejection the check pass would make."""
     kind = certificates._KINDS[claim.kind]
     delegated, _ = certificates._delegate(claim)
-    width = certificates._DEFAULT_TARGET_WIDTH
-    rise = kind.rise(delegated)
+    engine = kind.engine(delegated)
+    rise = engine.rise
     assert cert.n > rise
     if rise >= 1:
         forged = cert._replace(n=rise - 1)
         assert check_certificate(forged).reason == (
             f"index before the start of the search at n={rise + 1}")
-        assert certificates._check_pass(forged, kind, kind.engine(delegated, width)) is not None
-    engine = kind.engine(delegated, width)
+        assert certificates._check_pass(forged, kind, kind.engine(delegated)) is not None
     positive = kind.mode is certificates.RefutationMode.POSITIVE_SQUEEZE
     settled = None
     for n, sequence, witness, below, attempt in engine.stream(None):
@@ -586,7 +587,8 @@ class TestSearchEndsWithoutCap:
         if claim.kind is ClaimKind.COS:
             # the crossing above carries the prefactor q b >= 1, so read the
             # gate's start times the least weight directly
-            engine = certificates._CosSystem(claim, certificates._DEFAULT_TARGET_WIDTH)
+            engine = certificates._CosSystem(claim)
+            engine.build()
             least = min(engine.weights.values(), key=lambda weight: Fraction(*weight))
             assert engine.gate.below_one(least)
         else:

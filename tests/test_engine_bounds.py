@@ -21,7 +21,9 @@ INDICES = range(41)
 
 
 def _engine(claim):
-    return certificates._KINDS[claim.kind].engine(claim, certificates._DEFAULT_TARGET_WIDTH)
+    engine = certificates._KINDS[claim.kind].engine(claim)
+    engine.build()
+    return engine
 
 
 def _bounds(decay):

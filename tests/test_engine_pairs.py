@@ -7,9 +7,14 @@ enclosure records, and the cos system's weights, hyper and gate equal their
 Fraction forms.  ``enclose(SIN, x, w)`` equals the sinc enclosure at x**2 and
 width w / |x|, scaled by x, and the cos value window equals its three-product
 form.
+
+Each engine's lower index, read off the claim when it is constructed,
+equals the kind table's function it replaced, and constructing one builds
+no enclosure, series or bound.
 """
 
 from fractions import Fraction
+from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -54,7 +59,8 @@ def _fraction(pair):
 def test_engine_constants_equal_the_fraction_forms(claim):
     delegated, _ = certificates._delegate(claim)
     assert delegated == reference.delegate(claim)
-    engine = certificates._KINDS[claim.kind].engine(delegated, WIDTH)
+    engine = certificates._KINDS[claim.kind].engine(delegated)
+    engine.build()
     if isinstance(engine, certificates._CosSystem):
         weights, hyper, start, ratio = reference.cos_constants(delegated.arg)
         assert [_fraction(w) for w in engine.weights.values()] == list(weights)
@@ -98,3 +104,58 @@ def test_value_window_equals_the_three_product_form(qu, qv, lo, radius, den):
     window = (lo, lo + 2 * radius, den)
     assert (certificates._CosSystem._value_window(qu, qv, window)
             == reference.value_window(qu, qv, window))
+
+
+# the claims _CLAIMS draws, with the edges of each lower index: pi and pi**2
+# below 1, exp with p t < 1, cos with |s| < 1 and s < 0, and the claims an
+# engine refuses
+_SMALL = st.builds(Fraction, st.integers(1, 60), st.integers(61, 10**4))
+_EDGE_CLAIMS = st.one_of(
+    _CLAIMS,
+    st.builds(Claim, st.just(ClaimKind.PI), st.none(), _SMALL),
+    st.builds(Claim, st.just(ClaimKind.PI_SQUARED), st.none(), _SMALL),
+    st.builds(Claim, st.just(ClaimKind.EXP), _SMALL, _SMALL),
+    st.builds(Claim, st.just(ClaimKind.EXP), _SMALL.map(lambda t: -t), _SMALL.map(lambda v: 1 / v)),
+    st.builds(Claim, st.just(ClaimKind.COS), st.one_of(_SMALL, _SMALL.map(lambda s: -s)), _VALUE),
+    st.builds(Claim, st.just(ClaimKind.COS), _ARG.map(lambda s: -abs(s)), _VALUE),
+    st.builds(Claim, st.sampled_from([ClaimKind.TAN, ClaimKind.TAN_RATIO, ClaimKind.EXP,
+                                      ClaimKind.COS]), st.just(Fraction(0)), _VALUE),
+    st.builds(Claim, st.just(ClaimKind.TAN_RATIO), _ARG.map(lambda s: -abs(s)), _VALUE),
+    st.builds(Claim, st.sampled_from([ClaimKind.PI, ClaimKind.PI_SQUARED]), st.none(),
+              _VALUE.map(lambda v: -abs(v))),
+    st.builds(Claim, st.just(ClaimKind.EXP), _ARG, _VALUE.map(lambda v: -abs(v))),
+)
+
+
+def _built(*args, **kwargs):
+    raise AssertionError("constructing an engine built an enclosure, series or bound")
+
+
+@settings(max_examples=400, deadline=None)
+@given(claim=_EDGE_CLAIMS)
+@example(claim=Claim(ClaimKind.PI, None, Fraction(39, 40)))  # a < b
+@example(claim=Claim(ClaimKind.PI, None, Fraction(1)))  # a = b
+@example(claim=Claim(ClaimKind.PI_SQUARED, None, Fraction(9, 10)))
+@example(claim=Claim(ClaimKind.EXP, Fraction(1, 6), Fraction(1, 40)))  # p a < b
+@example(claim=Claim(ClaimKind.EXP, Fraction(-1, 6), Fraction(40)))  # the same, flipped
+@example(claim=Claim(ClaimKind.EXP, Fraction(1, 6), Fraction(6)))  # p a = b
+@example(claim=Claim(ClaimKind.COS, Fraction(2, 5), Fraction(1, 3)))  # |s| < 1
+@example(claim=Claim(ClaimKind.COS, Fraction(-999, 1000), Fraction(1, 2)))  # a**2 < b < 0
+@example(claim=Claim(ClaimKind.COS, Fraction(-1, 1000), Fraction(3, 2)))
+@example(claim=Claim(ClaimKind.COS, Fraction(1, 1000), Fraction(1, 2)))  # a**2 < b
+@example(claim=Claim(ClaimKind.SIN_SQ, Fraction(1, 4), Fraction(1, 2)))  # delegates to s = 1
+@example(claim=Claim(ClaimKind.TAN_RATIO, Fraction(-1), Fraction(1)))
+@example(claim=Claim(ClaimKind.PI_SQUARED, None, Fraction(0)))
+def test_engine_rise_equals_the_kind_table_function(claim):
+    delegated, _ = certificates._delegate(claim)
+    kind = certificates._KINDS[claim.kind]
+    expected = reference.refusal(delegated)
+    with patch.multiple(certificates, enclose=_built, even_series=_built,
+                        exp_upper_bound=_built, sqrt_bounds=_built):
+        try:
+            engine = kind.engine(delegated)
+        except certificates.RefutationError as exc:
+            assert (type(exc).__name__, str(exc)) == expected
+            return
+    assert expected is None
+    assert engine.rise == reference.rise(delegated)

@@ -103,6 +103,30 @@ def test_no_target_width_parameter(function):
     assert "target_width" not in inspect.signature(getattr(certificates, function)).parameters
 
 
+# what each engine now reads off its own claim: the lower index of the kind
+# table's ``_*_rise`` functions, and the exp claim's normalized point
+GONE_FROM_THE_KIND_TABLE = ("_tan_rise", "_pi_rise", "_pi_squared_rise", "_exp_rise",
+                            "_tan_ratio_rise", "_cos_rise", "_exp_point")
+
+
+@pytest.mark.parametrize("name", GONE_FROM_THE_KIND_TABLE)
+def test_the_kind_table_functions_are_gone(name):
+    assert not hasattr(certificates, name)
+
+
+def test_the_kind_table_holds_no_lower_index():
+    assert [name for name in vars(certificates) if name.endswith("_rise")] == []
+    assert certificates._Kind._fields == ("mode", "engine", "arg", "to_cos")
+
+
+def test_no_engine_takes_a_width():
+    # every enclosure starts at the one default width
+    for kind in certificates._KINDS.values():
+        assert list(inspect.signature(kind.engine).parameters) == ["claim"]
+    assert list(inspect.signature(certificates._enclosure_away_from_zero).parameters) == [
+        "fn", "arg"]
+
+
 @pytest.mark.parametrize("name", ["SequencePair", "CosSystemState"])
 def test_the_polynomial_views_have_no_wrapper_type(name):
     # the tracks yield plain integers and tuples, and the polynomial views

@@ -40,6 +40,7 @@ def _indices(n_cap):
 
 
 def _stepped_three_term(engine, n_cap):
+    engine.build()
     bound = engine.bound
     for n in _indices(n_cap):
         if n:
@@ -54,6 +55,7 @@ def _canonical_attempt(engine, u, v):
 
 
 def _stepped_cos(engine, n_cap):
+    engine.build()
     p, q, gate, weights = engine.p, engine.q, engine.gate, engine.weights
     least = _least(weights)
     tracks = certificates.cos_track(engine.s.numerator, engine.s.denominator)
@@ -85,7 +87,7 @@ def _stepped_outcome(claim, n_cap):
 
 def _engine(claim):
     delegated, _ = certificates._delegate(claim)
-    return certificates._KINDS[claim.kind].engine(delegated, certificates._DEFAULT_TARGET_WIDTH)
+    return certificates._KINDS[claim.kind].engine(delegated)
 
 
 def _candidates(claim, stream, n_cap):
@@ -125,6 +127,7 @@ EXTRA_CLAIMS = START_BELOW_ONE_CLAIMS + (
 
 def test_the_reopening_gate_is_covered():
     engine = _engine(GATE_REOPENS)
+    engine.build()
     gate, least = engine.gate, _least(engine.weights)
     below = []
     for n in range(6):
@@ -308,6 +311,7 @@ def test_three_term_search_draws_only_slots_past_the_crossing(monkeypatch):
 
 def test_deep_cos_search_starts_at_the_least_weight_crossing(monkeypatch):
     engine = _engine(DEEP_COS_CLAIM)
+    engine.build()
     gate, least = engine.gate, _least(engine.weights)
     while not gate.below_one(least):
         gate.step()
