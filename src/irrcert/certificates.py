@@ -520,7 +520,7 @@ class _CosSystem:
         if a == 0:
             raise DegenerateClaimError("cos claim requires a nonzero squared argument")
         self.p, self.q = claim.value.numerator, claim.value.denominator
-        self.s, self.width = s, _DEFAULT_TARGET_WIDTH
+        self.s = s
         # the gate's step ratio: a**2 / 4 for s > 0, and 2 a**2 for s < 0
         self.ratio = (a * a, 4) if a > 0 else (2 * a * a, 1)
         # once a**2 >= b, the gate's start b * hyper times the least weight,
@@ -587,8 +587,8 @@ class _CosSystem:
         # a width-w cos enclosure becomes a value window of width w |q v|, so
         # divide the coefficient out up front; the halvings below then only fire
         # when the true value sits within the start width of the unit boundary
-        width_num = self.width.numerator
-        width_den = self.width.denominator * max(1, 2 * abs(qv))
+        width_num = _DEFAULT_TARGET_WIDTH.numerator
+        width_den = _DEFAULT_TARGET_WIDTH.denominator * max(1, 2 * abs(qv))
         while True:
             self.last = lo, hi, den = self.cos.window(Fraction(width_num, width_den))
             low, high, den = self._value_window(qu, qv, self.last)

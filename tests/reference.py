@@ -2,18 +2,20 @@
 never runs: the kernel tail bounds, the integer polynomial ring ``IntPoly``
 with its exact evaluation and parity splits, the tracks run on that ring,
 the cos system's descent identity, the ``RatInterval`` helpers the engines
-used to build their bounds with, and those bounds' Fraction forms.  Kept in
+used to build their bounds with, those bounds' Fraction forms, and the
+oracle's one pass by parts for all six integrand families.  Kept in
 ``tests/``, the package neither ships it nor trusts it."""
 
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import comb, factorial, perm
 from typing import List
 
 from irrcert.certificates import Claim, ClaimKind, EnclosureRecord
 from irrcert.enclosure import Func, enclose, exp_upper_bound
 from irrcert.exactnum import RatInterval, sqrt_bounds
+from irrcert.oracle import IntegrandFamily
 from irrcert.recurrences import cos_track, exp_track, tan_track
 
 
@@ -404,3 +406,60 @@ def refusal(claim: Claim):
     if claim.kind is ClaimKind.COS and arg == 0:
         return "DegenerateClaimError", "cos claim requires a nonzero squared argument"
     return None
+
+
+# --------------------------------------------------------------------------
+# oracle.coefficients as one integration-by-parts pass for all six families,
+# before the sin and exp kernels' rows were read off their closed form
+# --------------------------------------------------------------------------
+
+def _quotient(p: List[int], divisor: int) -> List[int]:
+    """p // divisor, exact, with trailing zeros trimmed."""
+    out = [c // divisor for c in p]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def coefficients_by_parts(family: IntegrandFamily, n: int) -> tuple:
+    """The integral's coefficients on (1, cos r, sin r), or on (1, e**r), as
+    integer polynomials in t (t = r, or t = s = r**2 for the cos families),
+    constant term first and with no trailing zero."""
+    if n < 0:
+        raise ValueError("index n must be nonnegative")
+    quadratic = family in (IntegrandFamily.SIN_KERNEL, IntegrandFamily.EXP_KERNEL)
+    e, k = (1, 0) if quadratic else (2, "IJKL".index(family.value[-1]))
+    order = 1 if family is IntegrandFamily.EXP_KERNEL else 2
+    # n! P = x**k (t x**e - x**(2e))**n has the monomial (-1)**j C(n, j) t**(n-j)
+    # at x**(e (n + j) + k).  Q = n! P - Q^(order) (C, or E for the exp kernel)
+    # is built from the top power of x down, each coefficient a polynomial in t
+    # of degree <= n, holding the last order // e built.  For the cos families
+    # C has the parity of k, so only its powers x**m with m = k mod 2 are built,
+    # and of C(r) and S(r) = Q'(r) only the one whose powers of x are even is
+    # whole and summed; the sin kernel sums Q(r) and Q'(r), the exp kernel Q(r).
+    # sums[d] holds Q^(d)(r), x**m at x = r being t**(m/e).
+    derivatives = (0, 1) if family is IntegrandFamily.SIN_KERNEL else (k % 2,)
+    top = 2 * e * n + k
+    held = [[0] * (n + 1) for _ in range(order // e)]
+    sums = {d: [0] * (top // e + n + 1) for d in derivatives}
+    for m in range(top, k % 2 - 1, -e):
+        factor = perm(m + order, order)
+        q = [-factor * c for c in held[-1]]
+        i = (m - k) // e
+        if i >= n:
+            q[2 * n - i] += (-1) ** (i - n) * comb(n, i - n)
+        held = [q] + held[:-1]
+        for d, acc in sums.items():
+            if m >= d:
+                weight = perm(m, d)
+                for power, c in enumerate(q, (m - d) // e):
+                    acc[power] += weight * c
+    # one exact division by n!; a negative divisor also negates
+    nf = factorial(n)
+    if family is IntegrandFamily.EXP_KERNEL:
+        return _quotient(held[0], -nf), _quotient(sums[0], nf)
+    if family is IntegrandFamily.SIN_KERNEL:
+        return _quotient(held[0], nf), _quotient(sums[0], -nf), _quotient(sums[1], nf)
+    # held[0] is Q's coefficient at x**(k mod 2): C(0) for the even k, S(0)
+    # for the odd, and the other one is 0
+    return _quotient(sums[k % 2], nf), _quotient(held[0], -nf), []

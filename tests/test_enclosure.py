@@ -312,16 +312,18 @@ def _reference_attempt(s: Fraction, q: int, u: int, v: int, start_width: Fractio
         width /= 2
 
 
-def _cos_engine(s: Fraction, q: int, start_width: Fraction):
+def _cos_engine(patch, s: Fraction, q: int, start_width: Fraction):
+    """The built engine of cos r = 1/q at s = r**2, whose attempts start at
+    start_width while patch, a monkeypatch context, is open."""
+    patch.setattr(certificates, "_DEFAULT_TARGET_WIDTH", start_width)
     engine = certificates._CosSystem(Claim(ClaimKind.COS, s, Fraction(1, q)))
-    engine.width = start_width
     engine.build()
     return engine
 
 
 def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: Fraction):
     """The attempt's result (q = 1) and the number of widths it tried."""
-    engine, widths = _cos_engine(s, 1, start_width), []
+    widths = []
     window = enclosure.Series.window
 
     def recorded(series, width):
@@ -329,6 +331,7 @@ def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: F
         return window(series, width)
 
     with monkeypatch.context() as patch:
+        engine = _cos_engine(patch, s, 1, start_width)
         patch.setattr(enclosure.Series, "window", recorded)
         return engine._attempt(u, v), len(widths)
 
@@ -364,8 +367,10 @@ class TestCosAttemptAgainstReference:
         approx = cos_lo.limit_denominator(10**digits)
         u, v = edge - approx.numerator, approx.denominator
         width = Fraction(1, 2**e)
-        for u, v in ((u, v), (-u, -v)):
-            assert _cos_engine(s, q, width)._attempt(u, v) == _reference_attempt(s, q, u, v, width)
+        with pytest.MonkeyPatch.context() as patch:
+            for u, v in ((u, v), (-u, -v)):
+                engine = _cos_engine(patch, s, q, width)
+                assert engine._attempt(u, v) == _reference_attempt(s, q, u, v, width)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -390,7 +395,8 @@ class TestCosAttemptAgainstReference:
                     value = u + v * cos_r
                     gap = abs(abs(value) - 1)
                     assert mpf(10) ** (-3 * digits) < gap < mpf(2) ** -(e + 530)
-                    accepted = _cos_engine(s, 1, width)._attempt(u, v)
+                    with pytest.MonkeyPatch.context() as patch:
+                        accepted = _cos_engine(patch, s, 1, width)._attempt(u, v)
                     assert (accepted is not None) == (abs(value) < 1)
                     if accepted is not None:
                         bound, (record,) = accepted
