@@ -38,11 +38,19 @@ succeed, and for the kinds whose bound starts at 1 or more it rejects an
 index below the bound's peak before building any enclosure.  All searches
 and precision schedules are pure functions of the claim; rerunning a
 refutation is byte-stable.
+
+An attempt gives its bound as an unreduced integer pair, and the cos
+attempt its window as integers; the search reduces the one it returns, and
+the checker compares the certificate's values with them by
+cross-multiplication.  ``certificate_from_json`` checks a document in order
+of cost on its own strings, and converts its numbers only once every cheaper
+check has passed; it never calls the writer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -333,8 +341,13 @@ def _visits(
 #     (n, sequence, witness, below, attempt):
 # ``witness`` is the integer the claim forces at the slot, ``below`` whether
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
-# returns (bound, enclosures), or None when the slot's true value is provably
-# outside (-1, 1) (three-term attempts always succeed).  A stream yields every
+# returns ((num, den), transcript), or None when the slot's true value is
+# provably outside (-1, 1) (three-term attempts always succeed).  num / den
+# is the bound, unreduced with den > 0; the transcript is the engine's
+# enclosure records, or the cos window (lo, hi, den).  ``_reduced`` turns
+# both into a certificate's fields, and the checker compares a
+# certificate's fields with them by cross-multiplication
+# (``_equals``, ``engine.matches``).  A stream yields every
 # candidate slot and every slot at n_cap, and may skip the slots whose bound
 # (or whose gate at the least weight) is not below 1; it yields the slots it
 # does not skip in order.  Whether an attempt succeeds is fixed by its slot,
@@ -377,8 +390,14 @@ class _ThreeTerm:
     def settles(self, sequence: Optional[SequenceId]) -> bool:
         return True
 
-    def _accept(self) -> Tuple[Fraction, Tuple[EnclosureRecord, ...]]:
-        return Fraction(self.bound.num, self.bound.den), self.enclosures
+    def _accept(self) -> Tuple[Tuple[int, int], Tuple[EnclosureRecord, ...]]:
+        return (self.bound.num, self.bound.den), self.enclosures
+
+    def records(self, transcript: Tuple[EnclosureRecord, ...]) -> Tuple[EnclosureRecord, ...]:
+        return transcript
+
+    def matches(self, enclosures, transcript: Tuple[EnclosureRecord, ...]) -> bool:
+        return enclosures == transcript
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         return self.bound.inconclusive(n_cap)
@@ -564,7 +583,7 @@ class _CosSystem:
         num, den = self.weights[sequence]
         return self.gate.below_one((self.q * num, den))
 
-    def _attempt(self, u: int, v: int) -> Optional[Tuple[Fraction, Tuple[EnclosureRecord, ...]]]:
+    def _attempt(self, u: int, v: int) -> Optional[Tuple[Tuple[int, int], Tuple[int, int, int]]]:
         """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v
         are a sequence's coordinates already scaled by b**(2n+1).
 
@@ -572,8 +591,9 @@ class _CosSystem:
         the value window is inside (-1, 1), outside it, or straddles a bound
         (halve the width).  The true value is never +-1 (for v != 0 that is
         the irrationality of cos r; for v = 0 the window is the point q u),
-        so the halvings end.  Returns (bound, (cos enclosure record,)), both
-        read off the deciding window, if inside; None if outside.
+        so the halvings end.  Returns the bound as an unreduced (num, den)
+        pair and the deciding cos window (lo, hi, den), if inside; None if
+        outside.
 
         Every window is rigorous, so a value window outside (-1, 1) on any of
         them shows that the attempt fails: the last window the series
@@ -590,12 +610,10 @@ class _CosSystem:
         width_num = _DEFAULT_TARGET_WIDTH.numerator
         width_den = _DEFAULT_TARGET_WIDTH.denominator * max(1, 2 * abs(qv))
         while True:
-            self.last = lo, hi, den = self.cos.window(Fraction(width_num, width_den))
+            self.last = self.cos.window(Fraction(width_num, width_den))
             low, high, den = self._value_window(qu, qv, self.last)
             if -den < low and high < den:
-                record = EnclosureRecord(Func.COS_FROM_S.value, self.s, Fraction(lo, den),
-                                         Fraction(hi, den))
-                return Fraction(max(-low, high), den), (record,)
+                return (max(-low, high), den), self.last
             if low >= den or high <= -den:
                 return None
             width_den *= 2
@@ -609,6 +627,21 @@ class _CosSystem:
         low = qu * den + qv * (lo if qv >= 0 else hi)
         return low, low + abs(qv) * (hi - lo), den
 
+    def records(self, window: Tuple[int, int, int]) -> Tuple[EnclosureRecord, ...]:
+        lo, hi, den = window
+        return (EnclosureRecord(Func.COS_FROM_S.value, self.s, Fraction(lo, den),
+                                Fraction(hi, den)),)
+
+    def matches(self, enclosures, window: Tuple[int, int, int]) -> bool:
+        """Whether enclosures == self.records(window), with no gcd when
+        enclosures is one EnclosureRecord."""
+        if (type(enclosures) is tuple and len(enclosures) == 1
+                and type(enclosures[0]) is EnclosureRecord):
+            (fn, arg, lo, hi), (wlo, whi, den) = enclosures[0], window
+            return (fn == Func.COS_FROM_S.value and arg == self.s
+                    and _equals(lo, wlo, den) and _equals(hi, whi, den))
+        return enclosures == self.records(window)
+
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
         # peak, with the largest weight
@@ -616,6 +649,23 @@ class _CosSystem:
 
 
 _Engine = Union[_ThreeTerm, _CosSystem]
+
+
+def _reduced(engine: _Engine, accepted):
+    """The bound and the enclosure records, as a certificate holds them, of
+    an attempt's result; None stays None."""
+    if accepted is None:
+        return None
+    (num, den), transcript = accepted
+    return Fraction(num, den), engine.records(transcript)
+
+
+def _equals(value, num: int, den: int) -> bool:
+    """value == num / den for den > 0, by cross-multiplication when value
+    is a Fraction (in lowest terms, so no gcd is needed on either side)."""
+    if type(value) is Fraction:
+        return value.numerator * den == num * value.denominator
+    return value == Fraction(num, den)
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +736,7 @@ def refute(claim: Claim, n_cap: Optional[int] = None) -> Certificate:
         if below and (positive or witness != 0):
             accepted = attempt()
             if accepted is not None:
-                bound, enclosures = accepted
+                bound, enclosures = _reduced(engine, accepted)
                 return Certificate(
                     claim=claim,
                     n=n,
@@ -729,8 +779,9 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
     its fields there, trying the attempts of the earlier candidates on the
     way: the search would have stopped at any that succeeds.  A certificate
     more than one index past a candidate that settles is rejected there, so
-    the pass steps no further than the search could have.  Returns the
-    first problem found, or None."""
+    the pass steps no further than the search could have.  The stored bound
+    and enclosures are compared with the attempt's unreduced integers, so a
+    check reduces none of them.  Returns the first problem found, or None."""
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     own_n, own_sequence = cert.n, cert.sequence
     # an attempt holds its slot's integers, so at most _MAX_KEPT_ATTEMPTS are
@@ -754,14 +805,14 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
     accepted = attempt()
     if accepted is None:
         return "squeeze condition fails"
-    bound, enclosures = accepted
+    (num, den), transcript = accepted
     if cert.witness != witness:
         return "witness mismatch"
     if not positive and witness == 0:
         return "witness is zero"
-    if cert.enclosures != enclosures:
+    if not engine.matches(cert.enclosures, transcript):
         return "enclosure transcript mismatch"
-    if cert.bound != bound:
+    if not _equals(cert.bound, num, den):
         return "bound mismatch"
     if not below:
         return "squeeze condition fails"
@@ -820,8 +871,7 @@ def _claim_to_jsonable(claim: Claim) -> dict:
 
 
 def certificate_to_jsonable(cert: Certificate) -> dict:
-    # no "n":true or "n":1.0; the parser writes each document back, so this
-    # check also refuses a document whose n is a bool, float or string
+    # no "n":true or "n":1.0, which the parser refuses
     if type(cert.n) is not int:
         raise ValueError("index n must be an integer")
     return {
@@ -850,65 +900,103 @@ def certificate_to_jsonable(cert: Certificate) -> dict:
     }
 
 
+# the byte layout, which the parser checks with the same encoder
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def to_canonical_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_jsonable(cert), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(certificate_to_jsonable(cert))
 
 
-def _document_string(value) -> str:
-    # int() of JSON's Infinity or 1e400 raises OverflowError, and an fn nested
-    # a thousand lists deep makes the write-back raise RecursionError
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
+_DOCUMENT_KEYS = frozenset(("version", "claim", "n", "sequence", "mode", "witness", "bound",
+                            "enclosures", "transform"))
+_CLAIM_KEYS = frozenset(("kind", "arg", "value"))
+_RECORD_KEYS = frozenset(("fn", "arg", "lo", "hi"))
+_TRANSFORM_KEYS = frozenset(("identity", "delegated_claim"))
+# the writer's integers and rationals: [0-9] is ASCII alone, where int()
+# would also read "_", spaces, "+" and other scripts' digits
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _object(value, keys: frozenset) -> dict:
+    if type(value) is not dict or value.keys() != keys:
+        raise ValueError(f"schema mismatch: expected an object with keys {', '.join(sorted(keys))}")
     return value
 
 
-def _document_rational(value) -> Fraction:
-    num, den = _document_string(value).split("/")
-    return Fraction(int(num), int(den))
-
-
-def _claim_from_jsonable(doc) -> Claim:
-    arg = None if doc["arg"] is None else _document_rational(doc["arg"])
-    return Claim(ClaimKind(doc["kind"]), arg, _document_rational(doc["value"]))
+def _lowest_terms(match) -> Fraction:
+    num, den = int(match[1]), int(match[2])
+    value = Fraction(num, den)
+    if value.denominator != den:
+        raise ValueError("document is not the canonical serialization of its certificate: "
+                         "a rational is not in lowest terms")
+    return value
 
 
 def certificate_from_json(text: str) -> Certificate:
     """Parse a document that is byte for byte ``to_canonical_json`` of the
-    certificate it describes: the certificate is written back and compared,
-    so the writer alone states the format.  Anything else raises ValueError."""
+    certificate it describes; anything else raises ValueError.
+
+    The checks run in order of cost, on the document's own strings, and
+    nothing is written back: ``json.loads``; the key sets and JSON types;
+    the enums; the byte layout, as the writer's encoder writes the parsed
+    document; each number against the writer's decimal
+    pattern; and only then ``int()``, with one lowest-terms test per
+    rational, from the claim's numbers to the witness.  Together these
+    accept exactly the writer's output (tests/test_parse.py holds the two
+    to one another)."""
+    if not isinstance(text, str):  # json.loads reads bytes too
+        raise ValueError(f"a certificate document is a str, not {type(text).__name__}")
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's recursion limit
         raise ValueError(f"not valid JSON: {exc}") from exc
-    try:
-        if doc["version"] != SCHEMA_VERSION:
-            raise ValueError("unsupported certificate version")
-        cert = Certificate(
-            claim=_claim_from_jsonable(doc["claim"]),
-            n=doc["n"],
-            sequence=None if doc["sequence"] is None else SequenceId(doc["sequence"]),
-            mode=RefutationMode(doc["mode"]),
-            witness=int(_document_string(doc["witness"])),
-            bound=_document_rational(doc["bound"]),
-            enclosures=tuple(
-                EnclosureRecord(
-                    _document_string(rec["fn"]),
-                    _document_rational(rec["arg"]),
-                    _document_rational(rec["lo"]),
-                    _document_rational(rec["hi"]),
-                )
-                for rec in doc["enclosures"]
-            ),
-            transform=None
-            if doc["transform"] is None
-            else TransformRecord(
-                _document_string(doc["transform"]["identity"]),
-                _claim_from_jsonable(doc["transform"]["delegated_claim"]),
-            ),
-        )
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"schema mismatch ({type(exc).__name__}: {exc})") from exc
-    if to_canonical_json(cert) != text:
+    # the key sets and JSON types (no bool for an int) come first, so that
+    # the encoder below never meets an fn nested a thousand lists deep
+    doc = _object(doc, _DOCUMENT_KEYS)
+    claims, transform = [_object(doc["claim"], _CLAIM_KEYS)], doc["transform"]
+    if transform is not None:
+        transform = _object(transform, _TRANSFORM_KEYS)
+        claims.append(_object(transform["delegated_claim"], _CLAIM_KEYS))
+    records = doc["enclosures"]
+    if type(records) is not list:
+        raise ValueError("schema mismatch: enclosures must be a list")
+    # the rationals in the order they are converted, smallest first, which
+    # is the order the keywords of the certificate below take them in
+    rationals, strings = [], [doc["mode"], doc["witness"]]
+    for claim in claims:
+        rationals += [claim["value"]] if claim["arg"] is None else [claim["arg"], claim["value"]]
+        strings.append(claim["kind"])
+    rationals.append(doc["bound"])
+    for record in records:
+        rationals += _object(record, _RECORD_KEYS)["arg"], record["lo"], record["hi"]
+        strings.append(record["fn"])
+    if transform is not None:
+        strings.append(transform["identity"])
+    if (type(doc["version"]) is not int or type(doc["n"]) is not int
+            or {*map(type, strings), *map(type, rationals)} != {str}
+            or doc["sequence"] is not None and type(doc["sequence"]) is not str):
+        raise ValueError("schema mismatch: a value has the wrong JSON type")
+    if doc["version"] != SCHEMA_VERSION:
+        raise ValueError("unsupported certificate version")
+    kinds = [ClaimKind(claim["kind"]) for claim in claims]
+    sequence = None if doc["sequence"] is None else SequenceId(doc["sequence"])
+    mode = RefutationMode(doc["mode"])
+    if _CANONICAL.encode(doc) != text:
         raise ValueError("document is not the canonical serialization of its certificate")
-    return cert
+    matches = list(map(_RATIONAL.fullmatch, rationals))
+    if None in matches or _INTEGER.fullmatch(doc["witness"]) is None:
+        raise ValueError("document is not the canonical serialization of its certificate: "
+                         "a number is not in the canonical decimal form")
+    values = map(_lowest_terms, matches)
+    claimed = [Claim(kind, None if claim["arg"] is None else next(values), next(values))
+               for kind, claim in zip(kinds, claims)]
+    return Certificate(
+        claim=claimed[0], n=doc["n"], sequence=sequence, mode=mode, bound=next(values),
+        enclosures=tuple(EnclosureRecord(record["fn"], next(values), next(values), next(values))
+                         for record in records),
+        witness=int(doc["witness"]),
+        transform=None if transform is None else TransformRecord(transform["identity"], claimed[1]),
+    )

@@ -7,7 +7,10 @@ all three) to a document that ``certificate_from_json`` must reject with
 ValueError and ``irrcert verify`` with exit 1.  Each ``OUT_OF_BRACKET`` case
 is a document that parses but names an index the search cannot end at;
 ``check_certificate`` must reject it and ``irrcert verify`` exit 4, each in
-under a second.  The checker, parser and CLI tests share them.
+under a second.  Each ``LARGE_NUMBERS`` case gives, for a digit count, a
+canonical document with one number replaced by that many digits, which
+``irrcert verify`` must reject with exit 1 or 4.  The checker, parser and
+CLI tests share them.
 """
 
 import json
@@ -146,3 +149,33 @@ def on_fresh_stack(fn, *args):
     if "error" in outcome:
         raise outcome["error"]
     return outcome["value"]
+
+
+def _digits(count: int) -> str:
+    """count decimal digits, the first of them nonzero."""
+    return ("1234567890" * (count // 10 + 1))[:count]
+
+
+def _large_number(text, path: tuple, part: int, digits: int) -> str:
+    """text() with the digits of the number at ``path`` (part 0, or the
+    numerator 0 and denominator 1 of a rational) replaced by ``digits``
+    digits, its sign kept; the rest stays canonical."""
+    doc = json.loads(text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    parts = target[path[-1]].split("/")
+    parts[part] = parts[part][:parts[part].startswith("-")] + _digits(digits)
+    target[path[-1]] = "/".join(parts)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# name -> function of the digit count giving the document
+LARGE_NUMBERS = {
+    f"{claim}_{name}": partial(_large_number, text, path, part)
+    for claim, text in (("pi_22_7", lambda: to_canonical_json(canonical(PI_22_7))),
+                        ("sin_sq_1", canonical_text))
+    for name, path, part in (("witness", ("witness",), 0), ("bound_num", ("bound",), 0),
+                             ("bound_den", ("bound",), 1), ("lo_num", ("enclosures", 0, "lo"), 0))
+    if claim != "pi_22_7" or name != "lo_num"  # pi = 22/7 records no enclosure
+}

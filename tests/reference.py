@@ -2,17 +2,22 @@
 never runs: the kernel tail bounds, the integer polynomial ring ``IntPoly``
 with its exact evaluation and parity splits, the tracks run on that ring,
 the cos system's descent identity, the ``RatInterval`` helpers the engines
-used to build their bounds with, those bounds' Fraction forms, and the
-oracle's one pass by parts for all six integrand families.  Kept in
-``tests/``, the package neither ships it nor trusts it."""
+used to build their bounds with, those bounds' Fraction forms, the
+oracle's one pass by parts for all six integrand families, and the parser
+that converts every number and writes the certificate back to compare it.
+Kept in ``tests/``, the package neither ships it nor trusts it."""
 
+import json
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, perm
 from typing import List
 
-from irrcert.certificates import Claim, ClaimKind, EnclosureRecord
+from irrcert.certificates import (
+    SCHEMA_VERSION, Certificate, Claim, ClaimKind, EnclosureRecord, RefutationMode, SequenceId,
+    TransformRecord, to_canonical_json,
+)
 from irrcert.enclosure import Func, enclose, exp_upper_bound
 from irrcert.exactnum import RatInterval, sqrt_bounds
 from irrcert.oracle import IntegrandFamily
@@ -463,3 +468,69 @@ def coefficients_by_parts(family: IntegrandFamily, n: int) -> tuple:
     # held[0] is Q's coefficient at x**(k mod 2): C(0) for the even k, S(0)
     # for the odd, and the other one is 0
     return _quotient(sums[k % 2], nf), _quotient(held[0], -nf), []
+
+
+# --------------------------------------------------------------------------
+# the write-back parser: every number converted, the certificate written
+# back with the writer and compared byte for byte, so that the writer alone
+# states the format
+# --------------------------------------------------------------------------
+
+def _document_string(value) -> str:
+    # int() of JSON's Infinity or 1e400 raises OverflowError, and an fn nested
+    # a thousand lists deep makes the write-back raise RecursionError
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _document_rational(value) -> Fraction:
+    num, den = _document_string(value).split("/")
+    return Fraction(int(num), int(den))
+
+
+def _claim_from_jsonable(doc) -> Claim:
+    arg = None if doc["arg"] is None else _document_rational(doc["arg"])
+    return Claim(ClaimKind(doc["kind"]), arg, _document_rational(doc["value"]))
+
+
+def certificate_from_json(text: str) -> Certificate:
+    """Parse a document that is byte for byte ``to_canonical_json`` of the
+    certificate it describes: the certificate is written back and compared,
+    so the writer alone states the format.  Anything else raises ValueError."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    try:
+        if doc["version"] != SCHEMA_VERSION:
+            raise ValueError("unsupported certificate version")
+        cert = Certificate(
+            claim=_claim_from_jsonable(doc["claim"]),
+            n=doc["n"],
+            sequence=None if doc["sequence"] is None else SequenceId(doc["sequence"]),
+            mode=RefutationMode(doc["mode"]),
+            witness=int(_document_string(doc["witness"])),
+            bound=_document_rational(doc["bound"]),
+            enclosures=tuple(
+                EnclosureRecord(
+                    _document_string(rec["fn"]),
+                    _document_rational(rec["arg"]),
+                    _document_rational(rec["lo"]),
+                    _document_rational(rec["hi"]),
+                )
+                for rec in doc["enclosures"]
+            ),
+            transform=None
+            if doc["transform"] is None
+            else TransformRecord(
+                _document_string(doc["transform"]["identity"]),
+                _claim_from_jsonable(doc["transform"]["delegated_claim"]),
+            ),
+        )
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"schema mismatch ({type(exc).__name__}: {exc})") from exc
+    if to_canonical_json(cert) != text:
+        raise ValueError("document is not the canonical serialization of its certificate")
+    return cert

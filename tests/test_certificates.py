@@ -311,7 +311,7 @@ class TestChecker:
         # at (n=1, J) the cos engine's local conditions all hold for the
         # claim cos 1 = 1/2, but the canonical search picks (1, I); a
         # record-replay-only checker would wave this certificate through
-        from irrcert.certificates import _CosSystem
+        from irrcert.certificates import _CosSystem, _reduced
 
         claim = Claim(ClaimKind.COS, F(1), F(1, 2))
         cert = refute(claim)
@@ -320,10 +320,10 @@ class TestChecker:
         assert witness == -10
         engine = _CosSystem(claim)
         engine.build()
-        accepted = engine._attempt(
+        accepted = _reduced(engine, engine._attempt(
             eval_scaled_integer(ju, 1, 1, 3),
             eval_scaled_integer(jv, 1, 1, 3),
-        )
+        ))
         assert accepted is not None
         bound, enclosures = accepted
         forged = cert._replace(

@@ -193,7 +193,7 @@ def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):
     engine = certificates._CosSystem(claim)
     for n, sequence, witness, _below, attempt in engine.stream(1):
         if (n, sequence) == (1, SequenceId.J):
-            bound, enclosures = attempt()
+            bound, enclosures = certificates._reduced(engine, attempt())
             break
     forged = cert._replace(sequence=SequenceId.J, witness=witness, bound=bound,
                            enclosures=enclosures)
@@ -246,7 +246,7 @@ def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
     for n, sequence, witness, _below, attempt in engine.stream(cert.n):
         if attempt is None:
             continue
-        accepted = attempt()
+        accepted = certificates._reduced(engine, attempt())
         bound, enclosures = accepted if accepted is not None else (cert.bound, cert.enclosures)
         forged = cert._replace(n=n, sequence=sequence, witness=witness, bound=bound,
                                enclosures=enclosures)
@@ -286,7 +286,7 @@ def test_full_kept_list_is_tried_at_once_and_not_after_a_success(monkeypatch):
     engine = certificates._CosSystem(engine_claim)
     for n, sequence, witness, _below, attempt in engine.stream(14):
         if (n, sequence) == (14, SequenceId.L):
-            bound, enclosures = attempt()
+            bound, enclosures = certificates._reduced(engine, attempt())
     forged = cert._replace(n=14, sequence=SequenceId.L, witness=witness, bound=bound,
                            enclosures=enclosures)
     monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", 1)
@@ -349,3 +349,71 @@ def test_cos_series_sums_once_per_search_and_twice_per_check(monkeypatch, claim)
     reached.clear()
     assert check_certificate(cert).ok
     assert factors and all(factors[key] <= 2 * (reached[key] + 1) for key in factors)
+
+
+# a certificate built in Python may hold an int, a bool or a float where the
+# parser puts a Fraction, or its records as plain tuples or in a list; the
+# checker compares them with the re-derived values as == does.  variant ->
+# the (label, field) where that value is exactly the re-derived one, so that
+# the certificate stays VALID; elsewhere a variant of the bound gives "bound
+# mismatch" and of an endpoint "enclosure transcript mismatch".  An equal
+# Fraction and plain tuples are VALID everywhere, a list nowhere
+EXACT_ENDPOINTS = {("ratio-14/9", "enclosures[1].lo"), ("ratio-14/9", "enclosures[1].hi")}
+COMPARISON_VALID = {
+    "int": EXACT_ENDPOINTS,
+    "bool": EXACT_ENDPOINTS,
+    "float": EXACT_ENDPOINTS | {("e-19/7", "bound")},
+}
+COMPARISON_VARIANTS = {"int": int, "bool": bool, "float": float,
+                       "fraction": lambda x: Fraction(x.numerator, x.denominator)}
+
+
+def _comparison_variants(cert):
+    yield "tuples", "enclosures", cert._replace(enclosures=tuple(map(tuple, cert.enclosures)))
+    yield "list", "enclosures", cert._replace(enclosures=list(cert.enclosures))
+    for name, make in COMPARISON_VARIANTS.items():
+        yield name, "bound", cert._replace(bound=make(cert.bound))
+        for i, record in enumerate(cert.enclosures):
+            for end in ("lo", "hi"):
+                records = list(cert.enclosures)
+                records[i] = record._replace(**{end: make(getattr(record, end))})
+                yield name, f"enclosures[{i}].{end}", cert._replace(enclosures=tuple(records))
+
+
+@pytest.mark.parametrize("label", [entry[0] for entry in full_corpus()])
+def test_bound_and_endpoints_compare_as_equality_does(label):
+    cert = next(entry[2] for entry in corpus_certificates() if entry[0] == label)
+    for name, field, variant in _comparison_variants(cert):
+        if name in ("fraction", "tuples") or (label, field) in COMPARISON_VALID.get(name, ()):
+            expected = (True, None)
+        elif field == "bound":
+            expected = (False, "bound mismatch")
+        else:
+            expected = (False, "enclosure transcript mismatch")
+        result = check_certificate(variant)
+        assert (result.ok, result.reason) == expected, (name, field)
+
+
+@pytest.mark.parametrize("value", [3, True, False, 0, 0.5, 0.1, -0.0, 1.5, float("nan"),
+                                   float("inf"), F(1, 2), F(3), F(-1, 2), "1/2", None])
+def test_pair_comparison_is_equality(value):
+    for num, den in ((1, 2), (2, 4), (3, 1), (6, 2), (1, 1), (0, 5), (-1, 2), (-2, 4)):
+        assert certificates._equals(value, num, den) == (value == F(num, den)), (num, den)
+
+
+def test_the_check_reduces_no_attempt(monkeypatch):
+    # the fields of a parsed certificate are Fractions, compared with the
+    # attempts' unreduced integers; nothing reduces a bound or builds a record
+    expected = {}
+    for label, _claim, cert, *_ in corpus_certificates():
+        for name, mutant in [("", cert), *mutations(cert)]:
+            expected[label, name] = check_certificate(mutant)
+
+    def reduced(*args):
+        raise AssertionError("the check reduced an attempt")
+
+    monkeypatch.setattr(certificates, "_reduced", reduced)
+    monkeypatch.setattr(certificates._CosSystem, "records", reduced)
+    for label, _claim, cert, *_ in corpus_certificates():
+        for name, mutant in [("", cert), *mutations(cert)]:
+            assert check_certificate(mutant) == expected[label, name], (label, name)

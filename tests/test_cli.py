@@ -14,7 +14,9 @@ import irrcert.cli as cli
 from irrcert.certificates import _KINDS, ClaimKind
 from irrcert.cli import format_decimal, main
 
-from hostile_documents import HOSTILE, OUT_OF_BRACKET, canonical_text, on_fresh_stack
+from hostile_documents import (
+    HOSTILE, LARGE_NUMBERS, OUT_OF_BRACKET, canonical_text, on_fresh_stack,
+)
 
 
 def run(capsys, *argv):
@@ -229,6 +231,16 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert time.perf_counter() - start < 1
         assert (code, err) == (4, "") and out.startswith("INVALID: index ")
+
+    @pytest.mark.parametrize("make", LARGE_NUMBERS.values(), ids=LARGE_NUMBERS.keys())
+    def test_large_numbers_exit_1_or_4(self, capsys, tmp_path, make):
+        path = tmp_path / "cert.json"
+        path.write_text(make(10**5))
+        code, out, err = run(capsys, "verify", str(path))
+        if code == 1:
+            assert out == "" and err.startswith("malformed certificate") and err.count("\n") == 1
+        else:
+            assert (code, err) == (4, "") and out.startswith("INVALID: ")
 
     def test_deeply_nested_document_exits_1(self, capsys, tmp_path):
         path = tmp_path / "nested.json"

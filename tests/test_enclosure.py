@@ -333,7 +333,7 @@ def _cos_attempt_widths(monkeypatch, s: Fraction, u: int, v: int, start_width: F
     with monkeypatch.context() as patch:
         engine = _cos_engine(patch, s, 1, start_width)
         patch.setattr(enclosure.Series, "window", recorded)
-        return engine._attempt(u, v), len(widths)
+        return certificates._reduced(engine, engine._attempt(u, v)), len(widths)
 
 
 def _edge_case(s: Fraction, v: int, edge: int, at_hi: bool, width: Fraction):
@@ -370,7 +370,8 @@ class TestCosAttemptAgainstReference:
         with pytest.MonkeyPatch.context() as patch:
             for u, v in ((u, v), (-u, -v)):
                 engine = _cos_engine(patch, s, q, width)
-                assert engine._attempt(u, v) == _reference_attempt(s, q, u, v, width)
+                assert (certificates._reduced(engine, engine._attempt(u, v))
+                        == _reference_attempt(s, q, u, v, width))
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -396,7 +397,8 @@ class TestCosAttemptAgainstReference:
                     gap = abs(abs(value) - 1)
                     assert mpf(10) ** (-3 * digits) < gap < mpf(2) ** -(e + 530)
                     with pytest.MonkeyPatch.context() as patch:
-                        accepted = _cos_engine(patch, s, 1, width)._attempt(u, v)
+                        engine = _cos_engine(patch, s, 1, width)
+                        accepted = certificates._reduced(engine, engine._attempt(u, v))
                     assert (accepted is not None) == (abs(value) < 1)
                     if accepted is not None:
                         bound, (record,) = accepted
