@@ -249,8 +249,9 @@ class _Decay:
         at m = floor(ratio) and falls after; an index past n that is below 1
         lies past the peak, and so does every later one.  The test is thus
         false and then true for good on (n, limit], and integer probes find
-        the switch.  A float guess g only places the first probes, at g and
-        g - 1, which decide it whenever g is right."""
+        the switch.  A float guess g only places the first probes: g - 1 in
+        closed form (the pair at n when g - 1 = n), then g one step on; they
+        decide it whenever g is right."""
         wn, wd = weight
         pairs = {}
 
@@ -260,12 +261,15 @@ class _Decay:
 
         n = self.n
         guess = min(limit, max(n + 1, self._guess(weight, limit)))
-        if not below(guess):
-            m = min(limit, _first_true(below, guess, limit + 1))
-        elif guess - 1 > n and below(guess - 1):
+        if guess - 1 > n and below(guess - 1):
             m = _first_true(below, n, guess - 1)
         else:
-            m = guess
+            num, den = pairs[guess - 1] if guess - 1 > n else (self.num, self.den)
+            num, den = pairs[guess] = num * self.ratio_num, den * self.ratio_den * guess
+            if num * wn < den * wd:
+                m = guess
+            else:
+                m = min(limit, _first_true(below, guess, limit + 1))
         self.n = m
         self.num, self.den = pairs[m]
 
@@ -779,9 +783,12 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
     its fields there, trying the attempts of the earlier candidates on the
     way: the search would have stopped at any that succeeds.  A certificate
     more than one index past a candidate that settles is rejected there, so
-    the pass steps no further than the search could have.  The stored bound
-    and enclosures are compared with the attempt's unreduced integers, so a
-    check reduces none of them.  Returns the first problem found, or None."""
+    the pass steps no further than the search could have.  At the own slot
+    the checks run gate, witness, zero witness, attempt, transcript, bound,
+    squeeze, canonicity: a wrong witness is rejected before the attempt
+    sums a series window.  The stored bound and enclosures are compared
+    with the attempt's unreduced integers, so a check reduces none of them.
+    Returns the first problem found, or None."""
     positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
     own_n, own_sequence = cert.n, cert.sequence
     # an attempt holds its slot's integers, so at most _MAX_KEPT_ATTEMPTS are
@@ -802,14 +809,15 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
                     kept = []
     if attempt is None:
         return "decay gate not satisfied at certificate index"
-    accepted = attempt()
-    if accepted is None:
-        return "squeeze condition fails"
-    (num, den), transcript = accepted
+    # the witness costs nothing to compare, and a cos attempt may sum a window
     if cert.witness != witness:
         return "witness mismatch"
     if not positive and witness == 0:
         return "witness is zero"
+    accepted = attempt()
+    if accepted is None:
+        return "squeeze condition fails"
+    (num, den), transcript = accepted
     if not engine.matches(cert.enclosures, transcript):
         return "enclosure transcript mismatch"
     if not _equals(cert.bound, num, den):
@@ -925,6 +933,17 @@ def _object(value, keys: frozenset) -> dict:
     return value
 
 
+# value -> member of each enum a document names; a miss calls the enum, so
+# that an unknown value raises the enum's own ValueError
+_MEMBERS = {enum: {member.value: member for member in enum}
+            for enum in (ClaimKind, SequenceId, RefutationMode)}
+
+
+def _member(enum, value):
+    member = _MEMBERS[enum].get(value)
+    return enum(value) if member is None else member
+
+
 def _lowest_terms(match) -> Fraction:
     num, den = int(match[1]), int(match[2])
     value = Fraction(num, den)
@@ -981,9 +1000,9 @@ def certificate_from_json(text: str) -> Certificate:
         raise ValueError("schema mismatch: a value has the wrong JSON type")
     if doc["version"] != SCHEMA_VERSION:
         raise ValueError("unsupported certificate version")
-    kinds = [ClaimKind(claim["kind"]) for claim in claims]
-    sequence = None if doc["sequence"] is None else SequenceId(doc["sequence"])
-    mode = RefutationMode(doc["mode"])
+    kinds = [_member(ClaimKind, claim["kind"]) for claim in claims]
+    sequence = None if doc["sequence"] is None else _member(SequenceId, doc["sequence"])
+    mode = _member(RefutationMode, doc["mode"])
     if _CANONICAL.encode(doc) != text:
         raise ValueError("document is not the canonical serialization of its certificate")
     matches = list(map(_RATIONAL.fullmatch, rationals))

@@ -37,11 +37,12 @@ from typing import Iterator
 def _three_term_track(k, c, w0, w1) -> Iterator:
     yield w0
     yield w1
-    n = 2
+    # the coefficient (4n - 2) k, advanced by 4k from n = 2 on
+    coefficient, increment = 2 * k, 4 * k
     while True:
-        w0, w1 = w1, (4 * n - 2) * k * w1 - c * w0
+        coefficient += increment
+        w0, w1 = w1, coefficient * w1 - c * w0
         yield w1
-        n += 1
 
 
 def tan_track(a, b, x, y) -> Iterator:
@@ -75,24 +76,28 @@ def cos_track(a, b) -> Iterator[tuple]:
     I_n and K_{n-1}.
 
     The L step needs b**(2n) s I_n = a q, where b**(2n+1) I_n = b q; the I
-    step keeps q = 4 b L - 2 a J, so every step is a ring operation."""
-    ab, aa = a * b, a * a
+    step keeps q = 4 b L - 2 a J, so every step is a ring operation.  The
+    products of a and b are formed once, and 4n + 1 and 2 n a advance by
+    addition."""
+    four_b, two_a, two_ab, two_aa = 4 * b, 2 * a, 2 * a * b, 2 * a * a
     iu, iv = b, -b
     ju, jv = b, -b
     ku, kv = a - 2 * b, 2 * b
     lu, lv = 3 * a - 6 * b, 6 * b
     yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
-    n = 1
+    # m = 4n + 1 and 2 n a, at n = 1
+    m, two_na = 5, two_a
     while True:
-        qu = 4 * b * lu - 2 * a * ju
-        qv = 4 * b * lv - 2 * a * jv
+        qu = four_b * lu - two_a * ju
+        qv = four_b * lv - two_a * jv
         iu, iv = b * qu, b * qv
-        nju = (4 * n + 1) * iu - 2 * ab * ku
-        njv = (4 * n + 1) * iv - 2 * ab * kv
-        nku = -(4 * n + 2) * nju + 2 * ab * lu
-        nkv = -(4 * n + 2) * njv + 2 * ab * lv
-        lu = (4 * n + 3) * nku + 2 * n * a * qu - 2 * aa * ku
-        lv = (4 * n + 3) * nkv + 2 * n * a * qv - 2 * aa * kv
+        nju = m * iu - two_ab * ku
+        njv = m * iv - two_ab * kv
+        nku = two_ab * lu - (m + 1) * nju
+        nkv = two_ab * lv - (m + 1) * njv
+        lu = (m + 2) * nku + two_na * qu - two_aa * ku
+        lv = (m + 2) * nkv + two_na * qv - two_aa * kv
         ju, jv, ku, kv = nju, njv, nku, nkv
         yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
-        n += 1
+        m += 4
+        two_na += two_a

@@ -3,9 +3,11 @@ never runs: the kernel tail bounds, the integer polynomial ring ``IntPoly``
 with its exact evaluation and parity splits, the tracks run on that ring,
 the cos system's descent identity, the ``RatInterval`` helpers the engines
 used to build their bounds with, those bounds' Fraction forms, the
-oracle's one pass by parts for all six integrand families, and the parser
-that converts every number and writes the certificate back to compare it.
-Kept in ``tests/``, the package neither ships it nor trusts it."""
+oracle's one pass by parts for all six integrand families, the parser
+that converts every number and writes the certificate back to compare it,
+the tracks that form each step's coefficients from n, and the checker's
+own-slot order that tried the attempt before comparing the witness.  Kept
+in ``tests/``, the package neither ships it nor trusts it."""
 
 import json
 from enum import Enum
@@ -13,7 +15,9 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, perm
 from typing import List
+from unittest.mock import patch
 
+from irrcert import certificates
 from irrcert.certificates import (
     SCHEMA_VERSION, Certificate, Claim, ClaimKind, EnclosureRecord, RefutationMode, SequenceId,
     TransformRecord, to_canonical_json,
@@ -534,3 +538,105 @@ def certificate_from_json(text: str) -> Certificate:
     if to_canonical_json(cert) != text:
         raise ValueError("document is not the canonical serialization of its certificate")
     return cert
+
+
+# --------------------------------------------------------------------------
+# the tracks as they formed each step's coefficients from n: (4n - 2) k for
+# the three-term shape, and 4n + 1, 4n + 2, 4n + 3, 2 n a and the products
+# of a and b for the cos system, on the same ring operations
+# --------------------------------------------------------------------------
+
+def three_term_track_per_step(k, c, w0, w1):
+    yield w0
+    yield w1
+    n = 2
+    while True:
+        w0, w1 = w1, (4 * n - 2) * k * w1 - c * w0
+        yield w1
+        n += 1
+
+
+def tan_track_per_step(a, b, x, y):
+    return three_term_track_per_step(b, a * a, x, 2 * x * b - y * a)
+
+
+def pi_squared_track_per_step(a, b):
+    return three_term_track_per_step(b, a * b, 2, 4 * b)
+
+
+def exp_track_per_step(a, b, x, y):
+    return three_term_track_per_step(-b, -a * a, y - x, x * (2 * b + a) + y * (a - 2 * b))
+
+
+def tan_ratio_track_per_step(a, b, x, y):
+    return three_term_track_per_step(b, 4 * a * b, x, 2 * x * b - y * b)
+
+
+def cos_track_per_step(a, b):
+    ab, aa = a * b, a * a
+    iu, iv = b, -b
+    ju, jv = b, -b
+    ku, kv = a - 2 * b, 2 * b
+    lu, lv = 3 * a - 6 * b, 6 * b
+    yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
+    n = 1
+    while True:
+        qu = 4 * b * lu - 2 * a * ju
+        qv = 4 * b * lv - 2 * a * jv
+        iu, iv = b * qu, b * qv
+        nju = (4 * n + 1) * iu - 2 * ab * ku
+        njv = (4 * n + 1) * iv - 2 * ab * kv
+        nku = -(4 * n + 2) * nju + 2 * ab * lu
+        nkv = -(4 * n + 2) * njv + 2 * ab * lv
+        lu = (4 * n + 3) * nku + 2 * n * a * qu - 2 * aa * ku
+        lv = (4 * n + 3) * nkv + 2 * n * a * qv - 2 * aa * kv
+        ju, jv, ku, kv = nju, njv, nku, nkv
+        yield (iu, iv), (ju, jv), (ku, kv), (lu, lv)
+        n += 1
+
+
+# --------------------------------------------------------------------------
+# the check pass with the own slot's attempt tried before the witness is
+# compared, and ``check_certificate`` run on it
+# --------------------------------------------------------------------------
+
+def _check_pass_attempt_first(cert, kind, engine):
+    positive = kind.mode is RefutationMode.POSITIVE_SQUEEZE
+    own_n, own_sequence = cert.n, cert.sequence
+    kept, beaten = [], False
+    for n, sequence, witness, below, attempt in engine.stream(own_n):
+        if n == own_n and sequence is own_sequence:
+            break
+        if below and (positive or witness != 0):
+            if own_n > n + 1 and engine.settles(sequence):
+                return f"index past the end of the search at n={n}"
+            if not beaten:
+                kept.append(attempt)
+                if len(kept) == certificates._MAX_KEPT_ATTEMPTS:
+                    beaten = any(tried() is not None for tried in kept)
+                    kept = []
+    if attempt is None:
+        return "decay gate not satisfied at certificate index"
+    accepted = attempt()
+    if accepted is None:
+        return "squeeze condition fails"
+    (num, den), transcript = accepted
+    if cert.witness != witness:
+        return "witness mismatch"
+    if not positive and witness == 0:
+        return "witness is zero"
+    if not engine.matches(cert.enclosures, transcript):
+        return "enclosure transcript mismatch"
+    if not certificates._equals(cert.bound, num, den):
+        return "bound mismatch"
+    if not below:
+        return "squeeze condition fails"
+    if beaten or any(tried() is not None for tried in kept):
+        return "not the canonical certificate for this claim"
+    return None
+
+
+def check_certificate_attempt_first(cert):
+    """``check_certificate`` with the own slot's attempt before its witness."""
+    with patch.object(certificates, "_check_pass", _check_pass_attempt_first):
+        return certificates.check_certificate(cert)

@@ -4,13 +4,15 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irrcert.recurrences import cos_track, exp_track, pi_squared_track, tan_ratio_track, tan_track
 
 from reference import (
-    IntPoly, cos_system, descent_identity_check, eval_rational, eval_scaled_integer,
-    even_part_in_square, exp_sequence, odd_part_in_square, pi_sequence, shift, tan_sequence,
+    IntPoly, cos_system, cos_track_per_step, descent_identity_check, eval_rational,
+    eval_scaled_integer, even_part_in_square, exp_sequence, exp_track_per_step,
+    odd_part_in_square, pi_sequence, pi_squared_track_per_step, shift, tan_ratio_track_per_step,
+    tan_sequence, tan_track_per_step,
 )
 
 N_AUDIT = 16
@@ -215,3 +217,55 @@ class TestScalarTracks:
                 assert max(u.degree, v.degree) <= 2 * n, (n, "IJ")
             for u, v in (k, l):
                 assert max(u.degree, v.degree) <= 2 * n + 1, (n, "KL")
+
+
+# -- running coefficients against the per-step forms -----------------------
+
+N_RUNNING = 300
+running_settings = settings(max_examples=40, deadline=None)
+index = st.integers(min_value=0, max_value=N_RUNNING)
+# s = a/b: a square of a rational, or any a != 0 of either sign over b
+root = st.integers(min_value=1, max_value=30)
+square_point = st.tuples(root, root).map(lambda ab: (ab[0] ** 2, ab[1] ** 2))
+cos_point = st.one_of(square_point, st.tuples(signed_num.filter(bool), den))
+
+
+def _first(track, n):
+    return [next(track) for _ in range(n + 1)]
+
+
+class TestRunningCoefficients:
+    @running_settings
+    @given(point=cos_point, n=index)
+    @example(point=(4, 9), n=N_RUNNING)
+    @example(point=(3, 10), n=N_RUNNING)
+    @example(point=(-3, 10), n=N_RUNNING)
+    @example(point=(-49, 1), n=N_RUNNING)
+    def test_cos(self, point, n):
+        a, b = point
+        assert _first(cos_track(a, b), n) == _first(cos_track_per_step(a, b), n)
+
+    @running_settings
+    @given(a=signed_num, b=den, x=coeff, y=coeff, n=index)
+    @example(a=-60, b=40, x=-99, y=99, n=N_RUNNING)
+    def test_tan(self, a, b, x, y, n):
+        assert _first(tan_track(a, b, x, y), n) == _first(tan_track_per_step(a, b, x, y), n)
+
+    @running_settings
+    @given(a=signed_num, b=den, n=index)
+    @example(a=60, b=1, n=N_RUNNING)
+    def test_pi_squared(self, a, b, n):
+        assert _first(pi_squared_track(a, b), n) == _first(pi_squared_track_per_step(a, b), n)
+
+    @running_settings
+    @given(a=signed_num, b=den, x=coeff, y=coeff, n=index)
+    @example(a=-60, b=7, x=3, y=-5, n=N_RUNNING)
+    def test_exp(self, a, b, x, y, n):
+        assert _first(exp_track(a, b, x, y), n) == _first(exp_track_per_step(a, b, x, y), n)
+
+    @running_settings
+    @given(a=signed_num, b=den, x=coeff, y=coeff, n=index)
+    @example(a=60, b=40, x=99, y=-99, n=N_RUNNING)
+    def test_tan_ratio(self, a, b, x, y, n):
+        assert (_first(tan_ratio_track(a, b, x, y), n)
+                == _first(tan_ratio_track_per_step(a, b, x, y), n))
