@@ -39,9 +39,9 @@ index below the bound's peak before building any enclosure.  All searches
 and precision schedules are pure functions of the claim; rerunning a
 refutation is byte-stable.
 
-An attempt gives its bound as an unreduced integer pair, and the cos
-attempt its window as integers; the search reduces the one it returns, and
-the checker compares the certificate's values with them by
+An attempt gives its bound as an unreduced integer pair, and its enclosures
+as integer windows (fn, arg, lo, hi, den); the search reduces the one it
+returns, and the checker compares the certificate's values with them by
 cross-multiplication.  ``certificate_from_json`` checks a document in order
 of cost on its own strings, and converts its numbers only once every cheaper
 check has passed; it never calls the writer.
@@ -192,23 +192,24 @@ class InconclusiveError(RefutationError):
         super().__init__(f"no certificate up to n={last_n} (largest bound seen: {shown})")
 
 
-def _enclosure_away_from_zero(fn: Func, arg: Fraction) -> Tuple[Tuple[int, int], EnclosureRecord]:
+def _enclosure_away_from_zero(fn: Func, arg: Fraction) -> Tuple[Tuple[int, int], tuple]:
     """Deterministic zero-excluding enclosure: halve the width from the
-    default until the interval no longer straddles zero.  Returns the least
-    |x| over it as a (num, den) pair, and its record."""
-    num, den = _DEFAULT_TARGET_WIDTH.numerator, _DEFAULT_TARGET_WIDTH.denominator
+    default until the window no longer straddles zero.  Returns the least
+    |x| over it as a (num, den) pair, and the window (fn, arg, lo, hi, den)."""
+    width_num, width_den = _DEFAULT_TARGET_WIDTH.numerator, _DEFAULT_TARGET_WIDTH.denominator
     for halvings in range(_MAX_ZERO_EXCLUSION_HALVINGS):
-        width = Fraction(num, den << halvings)
-        lo, hi = enclose(fn, arg, width)
-        if lo.numerator > 0 or hi.numerator < 0:
-            end = lo if lo.numerator > 0 else hi
-            return (abs(end.numerator), end.denominator), EnclosureRecord(fn.value, arg, lo, hi)
+        width = Fraction(width_num, width_den << halvings)
+        lo, hi, den = enclose(fn, arg, width)
+        if lo > 0 or hi < 0:
+            return (lo if lo > 0 else -hi, den), (fn.value, arg, lo, hi, den)
     raise SinZeroUnresolvedError(f"{fn.value}({arg}) not separable from zero at width {width}")
 
 
-def _sqrt_record(x: Fraction) -> Tuple[Tuple[int, int], EnclosureRecord]:
-    lo, hi = sqrt_bounds(x)
-    return (hi.numerator, hi.denominator), EnclosureRecord("sqrt", x, lo, hi)
+def _sqrt_window(x: Fraction) -> Tuple[Tuple[int, int], tuple]:
+    """The upper bound on sqrt(x) as a (num, den) pair, and the window
+    ("sqrt", x, lo, hi, den)."""
+    lo, hi, den = sqrt_bounds(x)
+    return (hi, den), ("sqrt", x, lo, hi, den)
 
 
 class _Decay:
@@ -347,11 +348,13 @@ def _visits(
 # the slot's bound (or the cos decay gate) is below 1, and ``attempt()``
 # returns ((num, den), transcript), or None when the slot's true value is
 # provably outside (-1, 1) (three-term attempts always succeed).  num / den
-# is the bound, unreduced with den > 0; the transcript is the engine's
-# enclosure records, or the cos window (lo, hi, den).  ``_reduced`` turns
-# both into a certificate's fields, and the checker compares a
-# certificate's fields with them by cross-multiplication
-# (``_equals``, ``engine.matches``).  A stream yields every
+# is the bound, unreduced with den > 0; the transcript is a tuple of integer
+# windows (fn, arg, lo, hi, den), one per enclosure the certificate records:
+# the three-term engines build theirs in ``build()``, and the cos attempt
+# returns its deciding cos window.  ``_reduced`` turns both into a
+# certificate's fields, and the checker compares a certificate's fields
+# with them by cross-multiplication (``_equals``, ``_matches``), so no check
+# builds a Fraction for a bound or a record.  A stream yields every
 # candidate slot and every slot at n_cap, and may skip the slots whose bound
 # (or whose gate at the least weight) is not below 1; it yields the slots it
 # does not skip in order.  Whether an attempt succeeds is fixed by its slot,
@@ -372,12 +375,12 @@ def _visits(
 
 class _ThreeTerm:
     """One claim on a three-term engine: the integer the claim forces at
-    each index, the bound on it, and the enclosures the certificate records.
-    Its attempts always succeed.  ``start()`` gives the bound's start as a
-    (num, den) pair and the enclosures it rests on."""
+    each index, the bound on it, and the windows of the enclosures the
+    certificate records.  Its attempts always succeed.  ``start()`` gives
+    the bound's start as a (num, den) pair and the windows it rests on."""
 
     def __init__(self, witnesses: Iterator[int], ratio: Tuple[int, int], start_at_least_one: bool,
-                 start: Callable[[], Tuple[Tuple[int, int], Tuple[EnclosureRecord, ...]]]):
+                 start: Callable[[], Tuple[Tuple[int, int], tuple]]):
         self.witnesses, self.ratio, self._start = witnesses, ratio, start
         self.rise = ratio[0] // ratio[1] if start_at_least_one else -1
 
@@ -394,14 +397,8 @@ class _ThreeTerm:
     def settles(self, sequence: Optional[SequenceId]) -> bool:
         return True
 
-    def _accept(self) -> Tuple[Tuple[int, int], Tuple[EnclosureRecord, ...]]:
+    def _accept(self) -> Tuple[Tuple[int, int], tuple]:
         return (self.bound.num, self.bound.den), self.enclosures
-
-    def records(self, transcript: Tuple[EnclosureRecord, ...]) -> Tuple[EnclosureRecord, ...]:
-        return transcript
-
-    def matches(self, enclosures, transcript: Tuple[EnclosureRecord, ...]) -> bool:
-        return enclosures == transcript
 
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         return self.bound.inconclusive(n_cap)
@@ -433,8 +430,8 @@ def _tan_engine(claim: Claim) -> _ThreeTerm:
     rn, rd = r.numerator, r.denominator
 
     def start():
-        (sin_num, sin_den), sin_record = _enclosure_away_from_zero(Func.SIN, r)
-        return (q * rn * sin_den, rd * sin_num), (sin_record,)  # q r / min |sin r|
+        (sin_num, sin_den), sin_window = _enclosure_away_from_zero(Func.SIN, r)
+        return (q * rn * sin_den, rd * sin_num), (sin_window,)  # q r / min |sin r|
 
     # |sin r| <= |r| makes the start at least q
     return _ThreeTerm(tan_track(rn, rd, p, q), _tan_step(rn, rd), True, start)
@@ -467,8 +464,8 @@ def _pi_squared_engine(claim: Claim) -> _ThreeTerm:
         raise DegenerateClaimError("claimed value of pi**2 must be positive")
 
     def start():
-        root, record = _sqrt_record(claim.value)
-        return root, (record,)
+        root, window = _sqrt_window(claim.value)
+        return root, (window,)
 
     # the start, an upper bound on sqrt(a/b), is at least 1 once a >= b
     return _ThreeTerm(pi_squared_track(a, b), (a, 4), a >= b, start)
@@ -515,11 +512,11 @@ def _tan_ratio_engine(claim: Claim) -> _ThreeTerm:
     p, q = claim.value.numerator, claim.value.denominator
 
     def start():
-        (sinc_num, sinc_den), sinc_record = _enclosure_away_from_zero(
+        (sinc_num, sinc_den), sinc_window = _enclosure_away_from_zero(
             Func.SINC_FROM_S, Fraction(4 * a, b))
-        (root_num, root_den), sqrt_rec = _sqrt_record(s)
+        (root_num, root_den), root_window = _sqrt_window(s)
         # q sqrt(s) / (s min |sinc(4s)|), with sqrt(s) rounded up
-        return (q * root_num * b * sinc_den, root_den * a * sinc_num), (sinc_record, sqrt_rec)
+        return (q * root_num * b * sinc_den, root_den * a * sinc_num), (sinc_window, root_window)
 
     # |sinc(4s)| <= 1 / (2 sqrt s) makes the start at least 2q
     return _ThreeTerm(tan_ratio_track(a, b, p, 2 * q), (a, 1), True, start)
@@ -555,8 +552,7 @@ class _CosSystem:
         a, b = s.numerator, s.denominator
         self.cos = even_series(s, 0)
         self.last = None  # the last (lo, hi, den) the series returned
-        root = sqrt_bounds(Fraction(abs(a), b)).hi
-        root_num, root_den = root.numerator, root.denominator
+        _, root_num, root_den = sqrt_bounds(Fraction(abs(a), b))
         # the tail bound of the sequence with weight power k is w_k (s**2/4)**n
         # / n! for s > 0 and w_k hyper (2 s**2)**n / n! for s < 0, where w_k =
         # root**(k + 1) for the root bound root >= sqrt|s|, held as a (num, den)
@@ -565,9 +561,9 @@ class _CosSystem:
         # the least and the largest weight: w_0 and w_3, as sqrt|s| is >= 1 or not
         ends = self.weights[SequenceId.I], self.weights[SequenceId.L]
         self.least, self.largest = ends if root_num >= root_den else ends[::-1]
-        hyper = exp_upper_bound(root) if a < 0 else Fraction(1)
+        hyper_num, hyper_den = exp_upper_bound(Fraction(root_num, root_den)) if a < 0 else (1, 1)
         # the gate is b**(2n+1) * tail bound without the weight factor
-        self.gate = _Decay((b * hyper.numerator, hyper.denominator), self.ratio)
+        self.gate = _Decay((b * hyper_num, hyper_den), self.ratio)
 
     def stream(self, n_cap: Optional[int]) -> Iterator[tuple]:
         self.build()
@@ -587,7 +583,7 @@ class _CosSystem:
         num, den = self.weights[sequence]
         return self.gate.below_one((self.q * num, den))
 
-    def _attempt(self, u: int, v: int) -> Optional[Tuple[Tuple[int, int], Tuple[int, int, int]]]:
+    def _attempt(self, u: int, v: int) -> Optional[Tuple[Tuple[int, int], tuple]]:
         """Adaptive subset-of-(-1,1) test for q (u + v cos r), where u and v
         are a sequence's coordinates already scaled by b**(2n+1).
 
@@ -596,8 +592,8 @@ class _CosSystem:
         (halve the width).  The true value is never +-1 (for v != 0 that is
         the irrationality of cos r; for v = 0 the window is the point q u),
         so the halvings end.  Returns the bound as an unreduced (num, den)
-        pair and the deciding cos window (lo, hi, den), if inside; None if
-        outside.
+        pair and the transcript (("cos_from_s", s, lo, hi, den),) of the
+        deciding cos window, if inside; None if outside.
 
         Every window is rigorous, so a value window outside (-1, 1) on any of
         them shows that the attempt fails: the last window the series
@@ -617,7 +613,7 @@ class _CosSystem:
             self.last = self.cos.window(Fraction(width_num, width_den))
             low, high, den = self._value_window(qu, qv, self.last)
             if -den < low and high < den:
-                return (max(-low, high), den), self.last
+                return (max(-low, high), den), ((Func.COS_FROM_S.value, self.s, *self.last),)
             if low >= den or high <= -den:
                 return None
             width_den *= 2
@@ -631,21 +627,6 @@ class _CosSystem:
         low = qu * den + qv * (lo if qv >= 0 else hi)
         return low, low + abs(qv) * (hi - lo), den
 
-    def records(self, window: Tuple[int, int, int]) -> Tuple[EnclosureRecord, ...]:
-        lo, hi, den = window
-        return (EnclosureRecord(Func.COS_FROM_S.value, self.s, Fraction(lo, den),
-                                Fraction(hi, den)),)
-
-    def matches(self, enclosures, window: Tuple[int, int, int]) -> bool:
-        """Whether enclosures == self.records(window), with no gcd when
-        enclosures is one EnclosureRecord."""
-        if (type(enclosures) is tuple and len(enclosures) == 1
-                and type(enclosures[0]) is EnclosureRecord):
-            (fn, arg, lo, hi), (wlo, whi, den) = enclosures[0], window
-            return (fn == Func.COS_FROM_S.value and arg == self.s
-                    and _equals(lo, wlo, den) and _equals(hi, whi, den))
-        return enclosures == self.records(window)
-
     def inconclusive(self, n_cap: int) -> InconclusiveError:
         # the gates at n_cap ended with L's; the largest is at the bound's
         # peak, with the largest weight
@@ -655,13 +636,30 @@ class _CosSystem:
 _Engine = Union[_ThreeTerm, _CosSystem]
 
 
-def _reduced(engine: _Engine, accepted):
+def _records(transcript: tuple) -> Tuple[EnclosureRecord, ...]:
+    """The enclosure records of a transcript's (fn, arg, lo, hi, den) windows."""
+    return tuple(EnclosureRecord(fn, arg, Fraction(lo, den), Fraction(hi, den))
+                 for fn, arg, lo, hi, den in transcript)
+
+
+def _reduced(accepted):
     """The bound and the enclosure records, as a certificate holds them, of
-    an attempt's result; None stays None."""
+    an attempt's result; None stays None.  Only here does a search build a
+    Fraction for a bound or a record."""
     if accepted is None:
         return None
     (num, den), transcript = accepted
-    return Fraction(num, den), engine.records(transcript)
+    return Fraction(num, den), _records(transcript)
+
+
+def _matches(enclosures, transcript: tuple) -> bool:
+    """Whether enclosures == _records(transcript), with no gcd when
+    enclosures is a tuple of EnclosureRecords."""
+    if type(enclosures) is tuple and all(type(record) is EnclosureRecord for record in enclosures):
+        return len(enclosures) == len(transcript) and all(
+            fn == wfn and arg == warg and _equals(lo, wlo, den) and _equals(hi, whi, den)
+            for (fn, arg, lo, hi), (wfn, warg, wlo, whi, den) in zip(enclosures, transcript))
+    return enclosures == _records(transcript)
 
 
 def _equals(value, num: int, den: int) -> bool:
@@ -740,7 +738,7 @@ def refute(claim: Claim, n_cap: Optional[int] = None) -> Certificate:
         if below and (positive or witness != 0):
             accepted = attempt()
             if accepted is not None:
-                bound, enclosures = _reduced(engine, accepted)
+                bound, enclosures = _reduced(accepted)
                 return Certificate(
                     claim=claim,
                     n=n,
@@ -773,6 +771,8 @@ def _check_structure(cert: Certificate) -> Optional[str]:
         return "malformed: missing sequence id"
     if not sequenced and cert.sequence is not None:
         return "malformed: unexpected sequence id"
+    if sequenced and type(cert.sequence) is not SequenceId:
+        return "malformed: sequence id must be a SequenceId"
     if (cert.transform is None) != (kind.to_cos is None):
         return "malformed: transform record does not match claim kind"
     return None
@@ -818,7 +818,7 @@ def _check_pass(cert: Certificate, kind: _Kind, engine: _Engine) -> Optional[str
     if accepted is None:
         return "squeeze condition fails"
     (num, den), transcript = accepted
-    if not engine.matches(cert.enclosures, transcript):
+    if not _matches(cert.enclosures, transcript):
         return "enclosure transcript mismatch"
     if not _equals(cert.bound, num, den):
         return "bound mismatch"

@@ -2,8 +2,10 @@
 
 Every enclosure is the Taylor series  sum_m y**m / (k m + delta)!  at zero,
 summed exactly up to a term count, plus an explicit remainder radius, so the
-returned interval provably contains the true value and its width never
-exceeds the requested target.  EXP is k = 1, y = x; the *_FROM_S variants
+returned window provably contains the true value and its width never
+exceeds the requested target.  A window is three integers (lo, hi, den),
+den > 0, for [lo / den, hi / den] over one unreduced denominator, so no
+enclosure builds a Fraction.  EXP is k = 1, y = x; the *_FROM_S variants
 take s = r**2 and are k = 2, y = -s, delta 0 (cos) or 1 (sinc).  For s < 0
 the same series sums the hyperbolic value (cos r = cosh t when r = i t),
 which is how the hyperbolic claims reuse the circular machinery with no
@@ -18,7 +20,7 @@ Remainder bounds used (the first omitted term times a growth factor):
 
 A ``Series`` sums one of them forward over one common integer denominator:
 a finer width resumes from the term count reached, a wider one starts over,
-so the enclosure at a width never depends on the widths asked before.
+so the window at a width never depends on the widths asked before.
 ``enclose()`` builds a fresh series for each call.
 """
 
@@ -28,8 +30,6 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, isqrt
 from typing import Tuple
-
-from .exactnum import RatInterval
 
 
 class Func(Enum):
@@ -88,10 +88,6 @@ class Series:
         centre, radius = p * f, abs(apow * a) * self.growth
         return centre - radius, centre + radius, rden
 
-    def enclose(self, width: Fraction) -> RatInterval:
-        lo, hi, den = self.window(width)
-        return RatInterval(Fraction(lo, den), Fraction(hi, den))
-
 
 def even_series(s: Fraction, delta: int) -> Series:
     """sum_m (-1)**m s**m / (2m + delta)!  (delta 0: cos-type, delta 1:
@@ -107,8 +103,9 @@ def even_series(s: Fraction, delta: int) -> Series:
     return Series(-a, b, 2, delta, start, 1)
 
 
-def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
-    """Interval provably containing fn(x), of width at most ``width``."""
+def enclose(fn: Func, x: Fraction, width: Fraction) -> Tuple[int, int, int]:
+    """(lo, hi, den): the window [lo / den, hi / den], den > 0, provably
+    contains fn(x) and is at most ``width`` wide."""
     # Fraction() of a Fraction goes through the slow ABC isinstance path
     x = x if type(x) is Fraction else Fraction(x)
     w = width if type(width) is Fraction else Fraction(width)
@@ -116,20 +113,20 @@ def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
         raise ValueError("target width must be positive")
     a, b = x.numerator, x.denominator
     if fn is Func.EXP:
-        return Series(a, b, 1, 0, 0, 3 ** -(-abs(a) // b)).enclose(w)  # 3**ceil|x|
+        return Series(a, b, 1, 0, 0, 3 ** -(-abs(a) // b)).window(w)  # 3**ceil|x|
     if fn is Func.COS_FROM_S:
-        return even_series(x, 0).enclose(w)
+        return even_series(x, 0).window(w)
     if fn is Func.SINC_FROM_S:
-        return even_series(x, 1).enclose(w)
+        return even_series(x, 1).window(w)
     if fn is Func.SIN:
         if a == 0:
-            return RatInterval.from_point(x)
+            return 0, 0, 1
         # sin r = r * sinc(r): the sinc window at width w / |r|, times a / b
         lo, hi, den = even_series(Fraction(a * a, b * b), 1).window(
             Fraction(w.numerator * b, w.denominator * abs(a)))
         if a < 0:
             lo, hi = hi, lo
-        return RatInterval(Fraction(lo * a, den * b), Fraction(hi * a, den * b))
+        return lo * a, hi * a, den * b
     raise ValueError(f"unknown enclosure function {fn!r}")
 
 
@@ -138,6 +135,8 @@ def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
 _UPPER_BOUND_WIDTH = Fraction(1, 1 << 16)
 
 
-def exp_upper_bound(x: Fraction) -> Fraction:
-    """Deterministic rational upper bound on e**x (also >= cosh x for x >= 0)."""
-    return enclose(Func.EXP, x, _UPPER_BOUND_WIDTH).hi
+def exp_upper_bound(x: Fraction) -> Tuple[int, int]:
+    """(num, den), den > 0: a deterministic rational upper bound num / den on
+    e**x (also >= cosh x for x >= 0)."""
+    _, hi, den = enclose(Func.EXP, x, _UPPER_BOUND_WIDTH)
+    return hi, den

@@ -1,23 +1,18 @@
-"""Exact arithmetic building blocks: rationals, intervals, square roots.
+"""Exact arithmetic building blocks: rationals and square roots.
 
 Rationals are plain ``fractions.Fraction`` values (always reduced, positive
 denominator), so equality is structural and no float ever enters a bound.
 They are read and written as "a/b" by ``parse_rational`` and
-``format_rational``.  ``RatInterval`` adds the one shape Fraction does not
-cover: closed intervals with exact rational endpoints.  All endpoint
-arithmetic is exact, so the usual outward-rounding worries of float
-intervals do not arise: the results are conservative by construction.
-``sqrt_bounds`` brackets a square root on the 2**-64 grid.
-
-Everything here is immutable and safe to share across threads: a
-``RatInterval`` is a named tuple, and ``_replace`` validates it afresh.
+``format_rational``.  ``sqrt_bounds`` brackets a square root on the 2**-64
+grid as an integer window (lo, hi, den), the shape every enclosure takes:
+lo / den <= value <= hi / den with den > 0, not reduced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
+from typing import Tuple
 
 
 def parse_rational(text: str) -> Fraction:
@@ -36,40 +31,12 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class _RatIntervalFields(NamedTuple):
-    lo: Fraction
-    hi: Fraction
-
-
-class RatInterval(_RatIntervalFields):
-    """Closed interval [lo, hi] with exact rational endpoints."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: Fraction, hi: Fraction) -> "RatInterval":
-        # Fraction() of a Fraction goes through the slow ABC isinstance path
-        lo = lo if type(lo) is Fraction else Fraction(lo)
-        hi = hi if type(hi) is Fraction else Fraction(hi)
-        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:  # lo > hi
-            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        return tuple.__new__(cls, (lo, hi))
-
-    @classmethod
-    def _make(cls, iterable) -> "RatInterval":
-        # so that _replace validates the new endpoints too
-        return cls(*iterable)
-
-    @classmethod
-    def from_point(cls, x: Fraction) -> "RatInterval":
-        x = Fraction(x)
-        return cls(x, x)
-
-
-def sqrt_bounds(x: Fraction) -> RatInterval:
-    """Rational lo <= sqrt(x) <= hi for x >= 0, exact for perfect squares.
+def sqrt_bounds(x: Fraction) -> Tuple[int, int, int]:
+    """(lo, hi, den): lo / den <= sqrt(x) <= hi / den for x >= 0, den > 0,
+    with lo == hi for perfect squares.
 
     Inexact case: floor/ceiling of sqrt(x) on the 2**-64 grid, so
-    hi - lo == 2**-64 and hi*hi > x >= lo*lo.
+    hi - lo == 1, den == 2**64 and hi*hi > x * den*den >= lo*lo.
     """
     x = x if type(x) is Fraction else Fraction(x)
     num, den = x.numerator, x.denominator
@@ -77,7 +44,6 @@ def sqrt_bounds(x: Fraction) -> RatInterval:
         raise ValueError("sqrt of a negative rational")
     num_root, den_root = isqrt(num), isqrt(den)
     if num_root * num_root == num and den_root * den_root == den:
-        exact = Fraction(num_root, den_root)
-        return RatInterval(exact, exact)
+        return num_root, num_root, den_root
     root = isqrt((num << 128) // den)
-    return RatInterval(Fraction(root, 1 << 64), Fraction(root + 1, 1 << 64))
+    return root, root + 1, 1 << 64

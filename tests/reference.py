@@ -1,8 +1,10 @@
 """Reference code that the tests check the package against and the package
 never runs: the kernel tail bounds, the integer polynomial ring ``IntPoly``
 with its exact evaluation and parity splits, the tracks run on that ring,
-the cos system's descent identity, the ``RatInterval`` helpers the engines
-used to build their bounds with, those bounds' Fraction forms, the
+the cos system's descent identity, ``RatInterval`` with the ``enclose``,
+``sqrt_bounds`` and ``exp_upper_bound`` that returned it before every
+enclosure became an integer window, the helpers the engines used to build
+their bounds with, those bounds' Fraction forms, the
 oracle's one pass by parts for all six integrand families, the parser
 that converts every number and writes the certificate back to compare it,
 the tracks that form each step's coefficients from n, and the checker's
@@ -13,8 +15,8 @@ import json
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial, perm
-from typing import List
+from math import comb, factorial, isqrt, perm
+from typing import List, NamedTuple
 from unittest.mock import patch
 
 from irrcert import certificates
@@ -22,8 +24,7 @@ from irrcert.certificates import (
     SCHEMA_VERSION, Certificate, Claim, ClaimKind, EnclosureRecord, RefutationMode, SequenceId,
     TransformRecord, to_canonical_json,
 )
-from irrcert.enclosure import Func, enclose, exp_upper_bound
-from irrcert.exactnum import RatInterval, sqrt_bounds
+from irrcert.enclosure import Func, Series, even_series
 from irrcert.oracle import IntegrandFamily
 from irrcert.recurrences import cos_track, exp_track, tan_track
 
@@ -214,9 +215,87 @@ def descent_identity_check(n: int, pairs) -> bool:
 
 
 # --------------------------------------------------------------------------
-# RatInterval helpers: the engines read an enclosure's sign and least |x| off
-# its two ends, and enclose(SIN, ...) scales an integer window
+# RatInterval, a closed interval with reduced Fraction ends, and the
+# enclosures as the package returned them before they were integer windows
+# (lo, hi, den); ``interval`` reads such a window as a RatInterval.  The
+# engines read an enclosure's sign and least |x| off its two ends, and
+# enclose(SIN, ...) scales an integer window
 # --------------------------------------------------------------------------
+
+class _RatIntervalFields(NamedTuple):
+    lo: Fraction
+    hi: Fraction
+
+
+class RatInterval(_RatIntervalFields):
+    """Closed interval [lo, hi] with exact rational endpoints."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "RatInterval":
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable) -> "RatInterval":
+        return cls(*iterable)
+
+    @classmethod
+    def from_point(cls, x: Fraction) -> "RatInterval":
+        return cls(x, x)
+
+
+def interval(window) -> RatInterval:
+    """The interval [lo / den, hi / den] of an integer window (lo, hi, den)."""
+    lo, hi, den = window
+    if den <= 0:
+        raise ValueError(f"a window's denominator is positive, not {den}")
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def enclose(fn: Func, x: Fraction, width: Fraction) -> RatInterval:
+    """Interval provably containing fn(x), of width at most ``width``."""
+    x, w = Fraction(x), Fraction(width)
+    if w <= 0:
+        raise ValueError("target width must be positive")
+    a, b = x.numerator, x.denominator
+    if fn is Func.EXP:
+        return interval(Series(a, b, 1, 0, 0, 3 ** -(-abs(a) // b)).window(w))
+    if fn is Func.COS_FROM_S:
+        return interval(even_series(x, 0).window(w))
+    if fn is Func.SINC_FROM_S:
+        return interval(even_series(x, 1).window(w))
+    if fn is Func.SIN:
+        if a == 0:
+            return RatInterval.from_point(x)
+        lo, hi, den = even_series(Fraction(a * a, b * b), 1).window(
+            Fraction(w.numerator * b, w.denominator * abs(a)))
+        if a < 0:
+            lo, hi = hi, lo
+        return RatInterval(Fraction(lo * a, den * b), Fraction(hi * a, den * b))
+    raise ValueError(f"unknown enclosure function {fn!r}")
+
+
+def exp_upper_bound(x: Fraction) -> Fraction:
+    """Deterministic rational upper bound on e**x (also >= cosh x for x >= 0)."""
+    return enclose(Func.EXP, x, Fraction(1, 1 << 16)).hi
+
+
+def sqrt_bounds(x: Fraction) -> RatInterval:
+    """Rational lo <= sqrt(x) <= hi for x >= 0, exact for perfect squares;
+    else floor/ceiling of sqrt(x) on the 2**-64 grid."""
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num < 0:
+        raise ValueError("sqrt of a negative rational")
+    num_root, den_root = isqrt(num), isqrt(den)
+    if num_root * num_root == num and den_root * den_root == den:
+        return RatInterval.from_point(Fraction(num_root, den_root))
+    root = isqrt((num << 128) // den)
+    return RatInterval(Fraction(root, 1 << 64), Fraction(root + 1, 1 << 64))
+
 
 def scale(iv: RatInterval, c: Fraction) -> RatInterval:
     """Multiply both endpoints by an exact rational."""
@@ -625,7 +704,7 @@ def _check_pass_attempt_first(cert, kind, engine):
         return "witness mismatch"
     if not positive and witness == 0:
         return "witness is zero"
-    if not engine.matches(cert.enclosures, transcript):
+    if not certificates._matches(cert.enclosures, transcript):
         return "enclosure transcript mismatch"
     if not certificates._equals(cert.bound, num, den):
         return "bound mismatch"

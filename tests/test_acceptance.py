@@ -28,7 +28,7 @@ from irrcert.oracle import IntegrandFamily, integrate
 
 from reference import (
     IntPoly, TailKernel, cos_system, descent_identity_check, eval_rational, exp_sequence,
-    pi_sequence, scale, tail_bound, tan_sequence,
+    interval, pi_sequence, scale, tail_bound, tan_sequence,
 )
 
 
@@ -172,7 +172,7 @@ def integral_upper(family: IntegrandFamily, r: Fraction, coeffs: tuple, bound: F
     lo = hi = coeffs[0]
     for c, (fn, arg) in zip(coeffs[1:], terms):
         if c:
-            iv = scale(enclose(fn, arg, width), c)
+            iv = scale(interval(enclose(fn, arg, width)), c)
             lo, hi = lo + iv.lo, hi + iv.hi
     return max(abs(lo), abs(hi)), (hi - lo) / 2
 
@@ -345,13 +345,13 @@ def decay_bound(claim: Claim, cert, n: int) -> Fraction:
         r = claim.value
         return r.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, r, n)
     if kind is ClaimKind.PI_SQUARED:
-        root_hi = sqrt_bounds(claim.value).hi
+        root_hi = interval(sqrt_bounds(claim.value)).hi
         return claim.value.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, root_hi, n)
     if kind is ClaimKind.TAN:
         r = 2 * abs(claim.arg)
         return r.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, r, n)
     if kind is ClaimKind.TAN_RATIO:
-        root_hi = sqrt_bounds(4 * claim.arg).hi
+        root_hi = interval(sqrt_bounds(4 * claim.arg)).hi
         return claim.arg.denominator ** n * tail_bound(TailKernel.SIN_KERNEL, root_hi, n)
     if kind is ClaimKind.EXP:
         r = abs(claim.arg)

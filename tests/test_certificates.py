@@ -320,7 +320,7 @@ class TestChecker:
         assert witness == -10
         engine = _CosSystem(claim)
         engine.build()
-        accepted = _reduced(engine, engine._attempt(
+        accepted = _reduced(engine._attempt(
             eval_scaled_integer(ju, 1, 1, 3),
             eval_scaled_integer(jv, 1, 1, 3),
         ))

@@ -193,7 +193,7 @@ def test_forged_cos_sequence_is_rejected_without_search(monkeypatch):
     engine = certificates._CosSystem(claim)
     for n, sequence, witness, _below, attempt in engine.stream(1):
         if (n, sequence) == (1, SequenceId.J):
-            bound, enclosures = certificates._reduced(engine, attempt())
+            bound, enclosures = certificates._reduced(attempt())
             break
     forged = cert._replace(sequence=SequenceId.J, witness=witness, bound=bound,
                            enclosures=enclosures)
@@ -246,7 +246,7 @@ def test_canonicity_agrees_with_the_search(monkeypatch, claim, kept):
     for n, sequence, witness, _below, attempt in engine.stream(cert.n):
         if attempt is None:
             continue
-        accepted = certificates._reduced(engine, attempt())
+        accepted = certificates._reduced(attempt())
         bound, enclosures = accepted if accepted is not None else (cert.bound, cert.enclosures)
         forged = cert._replace(n=n, sequence=sequence, witness=witness, bound=bound,
                                enclosures=enclosures)
@@ -286,7 +286,7 @@ def test_full_kept_list_is_tried_at_once_and_not_after_a_success(monkeypatch):
     engine = certificates._CosSystem(engine_claim)
     for n, sequence, witness, _below, attempt in engine.stream(14):
         if (n, sequence) == (14, SequenceId.L):
-            bound, enclosures = certificates._reduced(engine, attempt())
+            bound, enclosures = certificates._reduced(attempt())
     forged = cert._replace(n=14, sequence=SequenceId.L, witness=witness, bound=bound,
                            enclosures=enclosures)
     monkeypatch.setattr(certificates, "_MAX_KEPT_ATTEMPTS", 1)
@@ -403,17 +403,50 @@ def test_pair_comparison_is_equality(value):
 
 def test_the_check_reduces_no_attempt(monkeypatch):
     # the fields of a parsed certificate are Fractions, compared with the
-    # attempts' unreduced integers; nothing reduces a bound or builds a record
+    # attempts' unreduced integers; nothing reduces a bound or builds a
+    # record, for the three-term kinds as for the cos family.  The corpus
+    # has no tan**2 claim, so the cos-family claims above add one
+    certs = [cert for _label, _claim, cert, *_ in corpus_certificates()]
+    certs += [refute(claim) for claim in COS_FAMILY_CLAIMS]
+    assert {cert.claim.kind for cert in certs} == set(ClaimKind)
     expected = {}
-    for label, _claim, cert, *_ in corpus_certificates():
+    for i, cert in enumerate(certs):
         for name, mutant in [("", cert), *mutations(cert)]:
-            expected[label, name] = check_certificate(mutant)
+            expected[i, name] = check_certificate(mutant)
 
     def reduced(*args):
         raise AssertionError("the check reduced an attempt")
 
     monkeypatch.setattr(certificates, "_reduced", reduced)
-    monkeypatch.setattr(certificates._CosSystem, "records", reduced)
-    for label, _claim, cert, *_ in corpus_certificates():
+    monkeypatch.setattr(certificates, "_records", reduced)
+    for i, cert in enumerate(certs):
         for name, mutant in [("", cert), *mutations(cert)]:
-            assert check_certificate(mutant) == expected[label, name], (label, name)
+            assert check_certificate(mutant) == expected[i, name], (cert.claim, name)
+
+
+# a certificate built in Python may name its sequence by a string or an
+# int; no slot of the stream matches one, so a pass run on it would step to
+# the last slot at n and give that slot's reason (the gate's for the cosh
+# claim at (87, I), canonicity for the cos claim at (23, L)); the structure
+# check rejects it first
+@pytest.mark.parametrize("claim, slot", [
+    (Claim(ClaimKind.COS, F(-4), F(376, 100)), (87, SequenceId.I)),
+    (Claim(ClaimKind.COS, F(6, 19), F(4, 5)), (23, SequenceId.L)),
+    (Claim(ClaimKind.SIN_SQ, F(1), F(177, 250)), (12, SequenceId.I)),
+], ids=["cosh-I", "cos-L", "sin_sq-I"])
+def test_a_sequence_that_is_not_a_sequence_id_is_malformed(claim, slot):
+    cert = refute(claim)
+    assert (cert.n, cert.sequence) == slot
+    for sequence in (cert.sequence.value, "J", 0, 3, ("I",), cert.sequence):
+        result = check_certificate(cert._replace(sequence=sequence))
+        if sequence is cert.sequence:
+            assert (result.ok, result.reason) == (True, None)
+        else:
+            assert (result.ok, result.reason) == (
+                False, "malformed: sequence id must be a SequenceId"), sequence
+
+
+def test_a_three_term_certificate_names_no_sequence_of_any_type():
+    three_term = refute(Claim(ClaimKind.TAN, F(1), F(1, 2)))
+    result = check_certificate(three_term._replace(sequence="I"))
+    assert (result.ok, result.reason) == (False, "malformed: unexpected sequence id")

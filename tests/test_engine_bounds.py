@@ -14,7 +14,7 @@ from irrcert import certificates
 from irrcert.certificates import Claim, ClaimKind
 from irrcert.exactnum import sqrt_bounds
 
-from reference import TailKernel, tail_bound
+from reference import TailKernel, interval, tail_bound
 
 F = Fraction
 INDICES = range(41)
@@ -49,7 +49,7 @@ def _min_abs(record):
 def test_tan_bound_is_the_sin_kernel_bound_over_sin(arg, value):
     engine = _engine(Claim(ClaimKind.TAN, arg, value))
     r = 2 * abs(arg)
-    (sin_record,) = engine.enclosures
+    (sin_record,) = certificates._records(engine.enclosures)
     factor = value.denominator / _min_abs(sin_record)
     expected = [factor * r.denominator ** n * _sin_reference(r, n) for n in INDICES]
     assert _bounds(engine.bound) == expected
@@ -91,7 +91,7 @@ def test_cos_gate_times_each_weight_is_the_cos_system_bound(s, value):
                                            (F(49, 4), True), (F(961, 100), True), (F(9), True)])
 def test_pi_squared_bound_is_at_most_the_sin_kernel_bound_at_the_root_bound(value, square):
     engine = _engine(Claim(ClaimKind.PI_SQUARED, None, value))
-    root_hi = sqrt_bounds(value).hi
+    root_hi = interval(sqrt_bounds(value)).hi
     reference = [value.denominator ** n * _sin_reference(root_hi, n) for n in INDICES]
     bounds = _bounds(engine.bound)
     assert all(bound <= ref for bound, ref in zip(bounds, reference))
@@ -106,8 +106,8 @@ def test_pi_squared_bound_is_at_most_the_sin_kernel_bound_at_the_root_bound(valu
 def test_tan_ratio_bound_is_at_most_the_sin_kernel_bound_over_sinc(s, value, square):
     # the witness is q I_n / (2 s sinc(4s)) scaled by b**n, with I_n at r = 2t
     engine = _engine(Claim(ClaimKind.TAN_RATIO, s, value))
-    sinc_record, _ = engine.enclosures
-    r_hi = 2 * sqrt_bounds(s).hi
+    sinc_record, _ = certificates._records(engine.enclosures)
+    r_hi = 2 * interval(sqrt_bounds(s)).hi
     factor = value.denominator / (2 * s * _min_abs(sinc_record))
     reference = [factor * s.denominator ** n * _sin_reference(r_hi, n) for n in INDICES]
     bounds = _bounds(engine.bound)

@@ -29,7 +29,7 @@ CERTIFICATE_API = {
 # the building blocks the root no longer re-exports, by their own module
 BUILDING_BLOCKS = {
     "enclosure": ("Func", "enclose"),
-    "exactnum": ("RatInterval", "format_rational", "parse_rational", "sqrt_bounds"),
+    "exactnum": ("format_rational", "parse_rational", "sqrt_bounds"),
     "oracle": ("IntegrandFamily", "coefficients", "integrate"),
 }
 
@@ -64,8 +64,7 @@ def test_a_building_block_takes_its_arguments_directly(module, function, paramet
 # the test-only reference code that lives in tests/reference.py instead
 MOVED_TO_THE_TESTS = {
     "enclosure": ("TailKernel", "tail_bound"),
-    "exactnum": ("DegreeBoundError", "IntPoly"),
-    "exactnum.RatInterval": ("contains_zero", "min_abs", "scale"),
+    "exactnum": ("DegreeBoundError", "IntPoly", "contains_zero", "min_abs", "scale"),
     "oracle": ("clear_cache",),
     "recurrences": ("cos_system", "descent_identity_check", "exp_sequence", "pi_sequence",
                     "tan_sequence"),
@@ -81,11 +80,13 @@ def test_the_test_only_reference_code_is_gone_from_the_package(owner, name):
     assert not hasattr(getattr(found, cls) if cls else found, name)
 
 
-# what only the quadrature oracle used
+# what only the quadrature oracle used, and the Fraction interval type with
+# the Series method that returned it: every enclosure is an integer window
 GONE = {
     "oracle": ("_node_cache", "_power_cache", "_cache_lock"),
     "enclosure.Func": ("COS",),
-    "exactnum.RatInterval": ("midpoint",),
+    "enclosure.Series": ("enclose",),
+    "exactnum": ("RatInterval", "_RatIntervalFields", "midpoint"),
 }
 
 
@@ -96,6 +97,13 @@ def test_the_quadrature_and_its_helpers_are_gone(owner, name):
     module, _, cls = owner.partition(".")
     found = importlib.import_module(f"irrcert.{module}")
     assert not hasattr(getattr(found, cls) if cls else found, name)
+
+
+@pytest.mark.parametrize("engine", [certificates._ThreeTerm, certificates._CosSystem])
+@pytest.mark.parametrize("name", ["records", "matches"])
+def test_no_engine_turns_its_transcript_into_records(engine, name):
+    # one _records and one _matches read every engine's windows
+    assert not hasattr(engine, name)
 
 
 @pytest.mark.parametrize("function", ["refute", "check_certificate"])

@@ -11,7 +11,6 @@ import pytest
 from irrcert import (
     Certificate, CheckResult, Claim, ClaimKind, EnclosureRecord, TransformRecord, refute,
 )
-from irrcert.exactnum import RatInterval
 
 TAN_CLAIM = Claim(ClaimKind.TAN, F(1), F(1, 2))
 
@@ -29,7 +28,6 @@ def test_repr_of_a_claim_and_a_certificate():
         "lo=Fraction(69430442223171503626, 76356140658563390625), "
         "hi=Fraction(1180317517793915561674, 1298054391195577640625)),), transform=None)"
     )
-    assert repr(RatInterval(0, 1)) == "RatInterval(lo=Fraction(0, 1), hi=Fraction(1, 1))"
     assert repr(CheckResult(True)) == "CheckResult(ok=True, reason=None)"
 
 
@@ -40,7 +38,6 @@ def test_repr_of_a_claim_and_a_certificate():
     lambda: TransformRecord("sin_sq", Claim(ClaimKind.COS, F(4), F(-2, 5))),
     lambda: refute(TAN_CLAIM),
     lambda: CheckResult(False, "witness mismatch"),
-    lambda: RatInterval(F(1, 3), F(1, 2)),
 ])
 def test_equal_records_hash_equal(make):
     first, second = make(), make()
@@ -59,7 +56,6 @@ def test_a_changed_field_breaks_equality():
     (refute(TAN_CLAIM), "n"),
     (EnclosureRecord("sin", F(2), F(0), F(1)), "lo"),
     (CheckResult(True), "reason"),
-    (RatInterval(0, 1), "hi"),
 ])
 def test_assigning_a_field_raises(record, field):
     with pytest.raises(AttributeError):
@@ -77,11 +73,6 @@ def test_replace_checks_the_argument_against_the_kind():
         TAN_CLAIM._replace(arg=None)
     with pytest.raises(ValueError, match="^claim kind pi takes no argument$"):
         TAN_CLAIM._replace(kind=ClaimKind.PI)
-
-
-def test_replace_checks_the_interval():
-    with pytest.raises(ValueError, match="^empty interval: lo=2 > hi=1$"):
-        RatInterval(0, 1)._replace(lo=2)
 
 
 def test_a_certificate_survives_pickle_and_deepcopy():
